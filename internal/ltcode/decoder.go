@@ -23,7 +23,8 @@ type Decoder struct {
 
 	decoded      []bool
 	decodedCount int
-	data         [][]byte // decoded originals; nil entries until decoded
+	data         [][]byte // decoded originals; nil entries until decoded, or the caller's destinations when into
+	into         bool
 	coded        [][]byte // received coded payloads (data mode)
 	received     []bool
 	nReceived    int
@@ -51,6 +52,26 @@ func NewDecoder(g *Graph) *Decoder {
 	d.data = make([][]byte, g.K)
 	d.coded = make([][]byte, g.N)
 	return d
+}
+
+// NewDecoderInto returns a data-carrying decoder that recovers
+// original block j straight into dst[j] instead of allocating it, so a
+// caller can decode into the buffer it will hand out. Every dst[j]
+// must have the same length, and AddData rejects payloads of any
+// other length. The decoder writes dst[j] only when block j decodes.
+func NewDecoderInto(g *Graph, dst [][]byte) (*Decoder, error) {
+	if len(dst) != g.K {
+		return nil, fmt.Errorf("ltcode: %d destination blocks for K=%d", len(dst), g.K)
+	}
+	for _, b := range dst {
+		if len(b) != len(dst[0]) {
+			return nil, fmt.Errorf("ltcode: unequal destination block sizes")
+		}
+	}
+	d := NewDecoder(g)
+	copy(d.data, dst)
+	d.into = true
+	return d, nil
 }
 
 // NewSymbolicDecoder returns a decoder that tracks decodability only.
@@ -103,6 +124,9 @@ func (d *Decoder) AddData(idx int, payload []byte) (int, error) {
 	}
 	if d.received[idx] {
 		return 0, nil
+	}
+	if d.into && len(payload) != len(d.data[0]) {
+		return 0, fmt.Errorf("ltcode: coded block %d is %d bytes, want %d", idx, len(payload), len(d.data[0]))
 	}
 	d.coded[idx] = payload
 	return d.add(idx), nil
@@ -169,13 +193,26 @@ func (d *Decoder) processRipple() {
 func (d *Decoder) decodeOriginal(orig, via int32) {
 	nb := d.g.Neighbors[via]
 	if !d.symbolic {
-		out := make([]byte, len(d.coded[via]))
-		copy(out, d.coded[via])
+		out := d.data[orig]
+		if !d.into {
+			out = make([]byte, len(d.coded[via]))
+		}
+		// out = coded ^ every other (decoded) neighbor; the first XOR
+		// also seeds out, replacing a separate copy pass.
+		src := d.coded[via]
 		for _, j := range nb {
 			if j == orig {
 				continue
 			}
+			if src != nil {
+				xorInto(out, src, d.data[j])
+				src = nil
+				continue
+			}
 			xorWords(d.data[j], out)
+		}
+		if src != nil {
+			copy(out, src) // degree one: the coded block is the original
 		}
 		d.data[orig] = out
 	}

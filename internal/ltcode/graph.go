@@ -206,8 +206,12 @@ func (g *Graph) EncodeBlock(i int, data [][]byte) []byte {
 // write hot path encodes into pooled buffers (DESIGN.md §10).
 func (g *Graph) EncodeBlockInto(dst []byte, i int, data [][]byte) []byte {
 	nb := g.Neighbors[i]
-	copy(dst, data[nb[0]])
-	for _, j := range nb[1:] {
+	if len(nb) == 1 {
+		copy(dst, data[nb[0]])
+		return dst
+	}
+	xorInto(dst, data[nb[0]], data[nb[1]])
+	for _, j := range nb[2:] {
 		xorWords(data[j], dst)
 	}
 	return dst

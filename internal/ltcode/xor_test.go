@@ -53,6 +53,38 @@ func TestXorWordsUnalignedTail(t *testing.T) {
 	}
 }
 
+func TestXorIntoMatchesNaive(t *testing.T) {
+	// Every split of main loop, word tail and byte tail, at unaligned
+	// offsets into shared backing arrays.
+	rng := rand.New(rand.NewSource(13))
+	backing := make([]byte, 1024)
+	rng.Read(backing)
+	for off := 0; off < 16; off++ {
+		for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 127, 129, 200, 1000} {
+			a := backing[off : off+n]
+			b := make([]byte, n)
+			rng.Read(b)
+			want := append([]byte(nil), b...)
+			xorNaive(a, want)
+			dst := make([]byte, n)
+			rng.Read(dst) // stale contents must not leak into the result
+			xorInto(dst, a, b)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("xorInto mismatch at offset %d length %d", off, n)
+			}
+		}
+	}
+}
+
+func TestXorIntoLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("xorInto accepted mismatched lengths")
+		}
+	}()
+	xorInto(make([]byte, 8), make([]byte, 8), make([]byte, 9))
+}
+
 func TestXorWordsSelfIdentity(t *testing.T) {
 	// x ^= x must zero the buffer (identical aliasing is allowed).
 	buf := make([]byte, 777)

@@ -426,12 +426,15 @@ func (s *Service) LockWrite(ctx context.Context, name string) (func(), error) {
 	return s.lockFor(name).lock(ctx, true)
 }
 
-// rwLock is a context-aware readers-writer lock (writer-exclusive, no
-// writer preference — adequate for open/close-frequency locking).
+// rwLock is a context-aware readers-writer lock with writer
+// preference: once a writer waits, new readers queue behind it, so a
+// steady stream of overlapping reads cannot starve a repair, update
+// or rebalance of the segment forever.
 type rwLock struct {
 	mu      sync.Mutex
 	readers int
 	writer  bool
+	waiting int           // writers blocked in lock
 	change  chan struct{} // closed and replaced on every state change
 }
 
@@ -440,26 +443,50 @@ func newRWLock() *rwLock {
 }
 
 func (l *rwLock) lock(ctx context.Context, exclusive bool) (func(), error) {
+	queued := false
 	for {
 		l.mu.Lock()
-		free := !l.writer && (!exclusive || l.readers == 0)
+		free := !l.writer && l.readers == 0
+		if !exclusive {
+			free = !l.writer && l.waiting == 0
+		}
 		if free {
 			if exclusive {
 				l.writer = true
+				if queued {
+					l.waiting--
+				}
 			} else {
 				l.readers++
 			}
 			l.mu.Unlock()
 			return func() { l.unlock(exclusive) }, nil
 		}
+		if exclusive && !queued {
+			queued = true
+			l.waiting++
+		}
 		ch := l.change
 		l.mu.Unlock()
 		select {
 		case <-ctx.Done():
+			if queued {
+				// Readers held back by this writer may go now.
+				l.mu.Lock()
+				l.waiting--
+				l.broadcastLocked()
+				l.mu.Unlock()
+			}
 			return nil, ctx.Err()
 		case <-ch:
 		}
 	}
+}
+
+// broadcastLocked wakes every waiter to re-check the state.
+func (l *rwLock) broadcastLocked() {
+	close(l.change)
+	l.change = make(chan struct{})
 }
 
 func (l *rwLock) unlock(exclusive bool) {
@@ -473,7 +500,6 @@ func (l *rwLock) unlock(exclusive bool) {
 			panic("metadata: reader lock underflow")
 		}
 	}
-	close(l.change)
-	l.change = make(chan struct{})
+	l.broadcastLocked()
 	l.mu.Unlock()
 }

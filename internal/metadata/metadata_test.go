@@ -205,6 +205,84 @@ func TestWriteWaitsForReaders(t *testing.T) {
 	}
 }
 
+// TestWaitingWriterBlocksNewReaders: a writer waiting on a held read
+// lock goes before readers that arrive after it, so overlapping reads
+// cannot starve it; a writer that gives up lets those readers in.
+func TestWaitingWriterBlocksNewReaders(t *testing.T) {
+	s := NewService()
+	ctx := context.Background()
+	u1, _ := s.LockRead(ctx, "f")
+	wctx, wcancel := context.WithCancel(ctx)
+	defer wcancel()
+	wrote := make(chan func())
+	go func() {
+		u, err := s.LockWrite(wctx, "f")
+		if err != nil {
+			close(wrote)
+			return
+		}
+		wrote <- u
+	}()
+	time.Sleep(20 * time.Millisecond) // the writer is now queued
+	read := make(chan func(), 1)
+	go func() {
+		u, err := s.LockRead(ctx, "f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		read <- u
+	}()
+	select {
+	case <-read:
+		t.Fatal("new reader overtook the waiting writer")
+	case <-time.After(50 * time.Millisecond):
+	}
+	u1()
+	select {
+	case u := <-wrote:
+		u()
+	case <-time.After(time.Second):
+		t.Fatal("writer not granted after the last reader left")
+	}
+	select {
+	case u := <-read:
+		u()
+	case <-time.After(time.Second):
+		t.Fatal("queued reader not granted after the writer")
+	}
+
+	// A writer that gives up while queued releases the readers behind it.
+	u1, _ = s.LockRead(ctx, "f")
+	defer u1()
+	gctx, gcancel := context.WithCancel(ctx)
+	gave := make(chan error, 1)
+	go func() {
+		_, err := s.LockWrite(gctx, "f")
+		gave <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	go func() {
+		u, err := s.LockRead(ctx, "f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		read <- u
+	}()
+	time.Sleep(20 * time.Millisecond)
+	gcancel()
+	if err := <-gave; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled writer: %v", err)
+	}
+	select {
+	case u := <-read:
+		u()
+	case <-time.After(time.Second):
+		t.Fatal("reader still blocked after the queued writer gave up")
+	}
+}
+
 func TestLockContextCancel(t *testing.T) {
 	s := NewService()
 	unlock, _ := s.LockWrite(context.Background(), "f")

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -84,15 +85,28 @@ func TestMetricsEndpointReflectsAccess(t *testing.T) {
 		`(?m)^transport_client_mux_dials_total [1-9]\d*$`,
 		`(?m)^transport_client_mux_streams_total [1-9]\d*$`,
 		`(?m)^transport_server_mux_streams_total [1-9]\d*$`,
-		`(?m)^transport_server_put_batch_total [1-9]\d*$`,
+		// Writes go out over pipelined PUTSTREAM streams; a run that
+		// starts before the mux is up may take the batch path instead,
+		// so the batch-op series are not asserted. Every put path
+		// counts its stored blocks in blocks_stored, checked against
+		// the client's committed count below.
+		`(?m)^transport_server_put_stream_total [1-9]\d*$`,
+		`(?m)^transport_server_put_stream_seconds_count [1-9]\d*$`,
 		`(?m)^transport_server_batch_blocks_total [1-9]\d*$`,
-		`(?m)^transport_client_batches_total [1-9]\d*$`,
-		`(?m)^transport_client_batch_roundtrips_saved_total [1-9]\d*$`,
+		`(?m)^transport_server_blocks_stored_total [1-9]\d*$`,
 		`(?m)^transport_client_roundtrip_seconds_count [1-9]\d*$`,
 	} {
 		if !regexp.MustCompile(re).MatchString(metrics) {
 			t.Errorf("/metrics missing %s\n%s", re, metrics)
 		}
+	}
+
+	// Both ends of the wire agree on the write: the server stored at
+	// least every block the client counted as committed (more when a
+	// put landed after the commit target canceled its ack).
+	stored, committed := metricValue(t, metrics, "transport_server_blocks_stored_total"), metricValue(t, metrics, "robust_write_blocks_total")
+	if committed == 0 || stored < committed {
+		t.Errorf("server stored %d blocks, client committed %d", stored, committed)
 	}
 
 	traces := httpGet(t, web.URL+"/debug/trace")
@@ -109,6 +123,20 @@ func TestMetricsEndpointReflectsAccess(t *testing.T) {
 	if !strings.Contains(jsonDump, `"robust_reads_total": 1`) {
 		t.Errorf("/metrics.json missing counters:\n%s", jsonDump)
 	}
+}
+
+// metricValue reads one unlabeled integer series from a /metrics dump.
+func metricValue(t *testing.T, metrics, name string) int64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindStringSubmatch(metrics)
+	if m == nil {
+		t.Fatalf("/metrics has no %s", name)
+	}
+	v, err := strconv.ParseInt(m[1], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 func httpGet(t *testing.T, url string) string {

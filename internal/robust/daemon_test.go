@@ -258,15 +258,27 @@ func TestDaemonThrottleUsesBucket(t *testing.T) {
 	c, inners := newDaemonClient(t, nil, "s1", "s2", "s3", "s4")
 	ctx := context.Background()
 	data := randData(8<<10, 4)
-	if _, err := c.Write(ctx, "seg", data, nil); err != nil {
+	ws, err := c.Write(ctx, "seg", data, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	seg, err := c.meta.LookupSegment("seg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inners["s1"].Delete(ctx, "seg", seg.Placement["s1"][0]); err != nil {
-		t.Fatal(err)
+	// The rateless write may commit past N; delete enough shares that
+	// fewer than N survive, so the repair has a real deficit to charge.
+	lose := ws.Committed - ws.N + 1
+	for _, addr := range []string{"s1", "s2", "s3", "s4"} {
+		for _, idx := range seg.Placement[addr] {
+			if lose == 0 {
+				break
+			}
+			if err := inners[addr].Delete(ctx, "seg", idx); err != nil {
+				t.Fatal(err)
+			}
+			lose--
+		}
 	}
 	// Rate so high the deficit's charge clears in well under a test
 	// tick, but with a tiny burst so the wait is still non-zero.

@@ -203,10 +203,19 @@ func TestRebalanceRespectsRateLimit(t *testing.T) {
 	c, meta := newLifecycleClient(t, Options{BlockBytes: 1 << 10, MaxServerShare: 0.35, Obs: reg},
 		nil, "s1", "s2", "s3", "s4")
 	ctx := context.Background()
-	if _, err := c.Write(ctx, "ratelimited", randData(32<<10, 93), nil); err != nil {
+	ws, err := c.Write(ctx, "ratelimited", randData(32<<10, 93), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := meta.SetServerState("s1", metadata.ServerDraining); err != nil {
+	// Drain the server holding the most shares: the rateless write may
+	// leave any one server with none, and then there is nothing to move.
+	drained := "s1"
+	for _, addr := range []string{"s2", "s3", "s4"} {
+		if ws.PerServer[addr] > ws.PerServer[drained] {
+			drained = addr
+		}
+	}
+	if err := meta.SetServerState(drained, metadata.ServerDraining); err != nil {
 		t.Fatal(err)
 	}
 	// Burst of one share, refill fast enough that each subsequent move
@@ -235,7 +244,7 @@ func TestRebalanceRespectsRateLimit(t *testing.T) {
 	}
 	// Throughput respected the budget: moved bytes never exceed burst
 	// plus rate x (observed throttle time + execution slack).
-	if st, _ := c.DrainProgress("s1"); st.Shares != 0 {
+	if st, _ := c.DrainProgress(drained); st.Shares != 0 {
 		t.Fatalf("drain incomplete under throttling: %d left", st.Shares)
 	}
 }
@@ -291,10 +300,12 @@ func TestRebalanceSkipsStaleMoves(t *testing.T) {
 		t.Skip("planner found nothing to move")
 	}
 	// The placement changes under the plan: a concurrent repair (here,
-	// a manual rewrite) rehomes the planned share before execution.
+	// a manual rewrite) rehomes the planned share before execution. It
+	// lands on the move's own target: a fixed server would make the
+	// rewrite a no-op whenever the plan moves a share off that server.
 	mv := moves[0]
 	seg.Placement[mv.From] = removeIndex(seg.Placement[mv.From], mv.Index)
-	seg.Placement["s3"] = append(seg.Placement["s3"], mv.Index)
+	seg.Placement[mv.To] = append(seg.Placement[mv.To], mv.Index)
 	if err := meta.UpdateSegment(seg); err != nil {
 		t.Fatal(err)
 	}

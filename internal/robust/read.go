@@ -49,14 +49,24 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 	// One decoder per chunk: a chunked segment decodes each chunk's
 	// graph independently (shares route to their chunk by index
 	// stride), a legacy segment is a single chunk covering everything.
+	// The decoders recover blocks straight into the buffer Read
+	// returns; only each chunk's zero-padded tail block decodes into a
+	// scratch block of its own, whose payload prefix is copied over at
+	// the end.
 	views := segmentChunks(seg)
+	out := make([]byte, seg.Size)
 	decs := make([]*ltcode.Decoder, len(views))
+	tails := make([]decodeTail, 0, len(views))
 	for i, v := range views {
 		graph, gerr := c.cachedGraph(v.coding)
 		if gerr != nil {
 			return nil, ReadStats{}, gerr
 		}
-		decs[i] = ltcode.NewDecoder(graph)
+		dst, tail := decodeDest(out[v.offset:v.offset+v.size], graph.K, seg.Coding.BlockBytes)
+		tails = append(tails, tail...)
+		if decs[i], gerr = ltcode.NewDecoderInto(graph, dst); gerr != nil {
+			return nil, ReadStats{}, gerr
+		}
 	}
 	if tr != nil {
 		tr.Stagef("graph", "K=%d N=%d chunks=%d", seg.Coding.K, seg.Coding.N, len(views))
@@ -225,28 +235,37 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 	if !complete {
 		return nil, stats, ErrUnrecoverable
 	}
-	// Concatenate the decoded chunks, truncating each to its own
-	// payload length (the last block of every chunk is zero-padded).
-	out := make([]byte, 0, seg.Size)
-	for i, v := range views {
-		blocks, derr := decs[i].Data()
-		if derr != nil {
-			return nil, stats, derr
-		}
-		var got int64
-		for _, b := range blocks {
-			need := v.size - got
-			if need <= 0 {
-				break
-			}
-			if need > int64(len(b)) {
-				need = int64(len(b))
-			}
-			out = append(out, b[:need]...)
-			got += need
-		}
+	for _, t := range tails {
+		copy(t.dst, t.block)
 	}
 	return out, stats, nil
+}
+
+// decodeTail is a chunk block decoded into scratch because it extends
+// past the chunk's payload: its prefix belongs in dst.
+type decodeTail struct {
+	dst, block []byte
+}
+
+// decodeDest lays out the k decode destinations of one chunk whose
+// payload is chunk: every block that lies wholly inside it aliases it
+// in place, the rest (the zero-padded tail) get scratch blocks.
+func decodeDest(chunk []byte, k int, blockBytes int64) ([][]byte, []decodeTail) {
+	bb := int(blockBytes)
+	dst := make([][]byte, k)
+	var tails []decodeTail
+	for j := range dst {
+		lo, hi := j*bb, (j+1)*bb
+		if hi <= len(chunk) {
+			dst[j] = chunk[lo:hi:hi]
+			continue
+		}
+		dst[j] = make([]byte, bb)
+		if lo < len(chunk) {
+			tails = append(tails, decodeTail{dst: chunk[lo:], block: dst[j]})
+		}
+	}
+	return dst, tails
 }
 
 // storeGetter is the read-path slice of blockstore.Store.

@@ -3,6 +3,7 @@ package robust
 import (
 	"bytes"
 	"context"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -94,10 +95,20 @@ func TestRepairIdempotent(t *testing.T) {
 	c, _ := newTestClient(t, 5, Options{BlockBytes: 4 << 10, MaxServerShare: 0.3})
 	ctx := context.Background()
 	data := randData(64<<10, 42)
-	if _, err := c.Write(ctx, "seg", data, nil); err != nil {
+	ws, err := c.Write(ctx, "seg", data, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	c.DetachStore("mem-02")
+	// The rateless write may leave any one server without shares;
+	// detach one that holds some, so the first repair has work.
+	holders := make([]string, 0, len(ws.PerServer))
+	for addr, n := range ws.PerServer {
+		if n > 0 {
+			holders = append(holders, addr)
+		}
+	}
+	sort.Strings(holders)
+	c.DetachStore(holders[0])
 
 	first, err := c.Repair(ctx, "seg")
 	if err != nil {

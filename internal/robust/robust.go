@@ -415,21 +415,27 @@ func graphSeed(name string, size int64) int64 {
 	return int64(h.Sum64() & 0x7FFFFFFFFFFFFFFF)
 }
 
-// splitBlocks cuts data into K zero-padded blocks of BlockBytes. All
-// blocks are carved from one zeroed backing array — two allocations
-// instead of K+1 — with capacities pinned so no append can bleed into
-// a neighbor.
+// splitBlocks cuts data into K blocks of BlockBytes without copying
+// it: every whole block aliases data in place, and only a partial
+// tail is copied, into a zero-padded block of its own. Capacities are
+// pinned so no append can bleed into a neighbor. The blocks read data
+// directly, so data must stay unmodified while they are in use.
 func splitBlocks(data []byte, blockBytes int64) [][]byte {
-	k := int((int64(len(data)) + blockBytes - 1) / blockBytes)
+	bb := int(blockBytes)
+	k := (len(data) + bb - 1) / bb
 	if k == 0 {
 		k = 1
 	}
-	backing := make([]byte, int64(k)*blockBytes)
-	copy(backing, data)
 	out := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		lo, hi := int64(i)*blockBytes, int64(i+1)*blockBytes
-		out[i] = backing[lo:hi:hi]
+	full := len(data) / bb
+	for i := 0; i < full; i++ {
+		lo, hi := i*bb, (i+1)*bb
+		out[i] = data[lo:hi:hi]
+	}
+	if full < k {
+		tail := make([]byte, bb)
+		copy(tail, data[full*bb:])
+		out[full] = tail
 	}
 	return out
 }

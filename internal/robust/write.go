@@ -18,7 +18,8 @@ import (
 // selects the target set; nil means all attached backends. With
 // ChunkBytes set the segment is written as independent chunks —
 // Write is a slicing caller of the same streaming core WriteFrom
-// pipelines a reader through.
+// pipelines a reader through. Write encodes straight out of data: the
+// caller must not modify it until Write returns (DESIGN.md §10).
 func (c *Client) Write(ctx context.Context, name string, data []byte, servers []string) (WriteStats, error) {
 	chunk := c.opts.ChunkBytes
 	off := 0

@@ -62,10 +62,9 @@ func (c *Client) WriteFrom(ctx context.Context, name string, r io.Reader, size i
 	rctx, rcancel := context.WithCancel(ctx)
 	defer rcancel()
 	// Double buffer: the reader pump fills one chunk while
-	// writeSegment encodes and spreads the other. writeSegment
-	// recycles a buffer the moment the chunk's bytes are copied into
-	// coding blocks, which is what lets ingest of chunk i+1 overlap
-	// the encode and spread of chunk i.
+	// writeSegment encodes and spreads the other straight out of its
+	// buffer, recycling it once that chunk's spread returns — so
+	// ingest of chunk i+1 overlaps the encode and spread of chunk i.
 	free := make(chan []byte, 2)
 	free <- make([]byte, chunk)
 	free <- make([]byte, chunk)
@@ -140,9 +139,10 @@ func (c *Client) WriteFrom(ctx context.Context, name string, r io.Reader, size i
 // writeSegment is the write path shared by Write and WriteFrom: it
 // consumes chunks from next (io.EOF ends the stream), encodes and
 // ratelessly spreads each one, and commits the segment record once
-// every chunk has reached its durability target. recycle, when
-// non-nil, hands a chunk buffer back to the producer as soon as its
-// bytes have been copied into coding blocks. size is the declared
+// every chunk has reached its durability target. Chunks are encoded
+// in place, so a chunk's bytes must stay unmodified until the chunk's
+// spread returns; recycle, when non-nil, hands the buffer back to the
+// producer at that point. size is the declared
 // total (negative when unknown). On any failure every block placed so
 // far is deleted best-effort before returning, so a failed write
 // leaves neither metadata nor orphaned partial chunks.
@@ -290,15 +290,15 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 			cleanup()
 			return stats, gerr
 		}
-		if recycle != nil {
-			recycle(data) // blocks hold a copy; let the reader refill it
-		}
 		if tr != nil {
 			tr.Stagef("plan", "chunk=%d K=%d N=%d graphN=%d servers=%d", ci, k, n, graphN, len(servers))
 		}
 		res := c.spreadChunk(ctx, tr, name, servers, spreadPlan{
 			base: base, n: n, graphN: graphN, blocks: blocks, graph: graph, sealed: sealed,
 		}, onFirst)
+		if recycle != nil {
+			recycle(data) // the spread is done reading it in place; let the reader refill it
+		}
 		stats.Committed += res.committed
 		stats.BytesSent += res.bytesSent
 		stats.FailedPuts += res.failed

@@ -238,7 +238,12 @@ func TestWriteChunkedShortWriteCleansUp(t *testing.T) {
 }
 
 func TestChunkedRepairHealthUpdate(t *testing.T) {
-	c, stores := newTestClient(t, 5, streamOptions())
+	// A per-server share cap keeps every chunk decodable after the loss
+	// of any one server; without it one fast server can absorb most of
+	// a chunk's shares.
+	opts := streamOptions()
+	opts.MaxServerShare = 0.3
+	c, stores := newTestClient(t, 5, opts)
 	ctx := context.Background()
 	data := randData(28<<10, 6) // 3 full chunks + 4 KB tail
 
@@ -246,14 +251,19 @@ func TestChunkedRepairHealthUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Lose one server's shares outright.
-	victim := stores[0]
-	idx, err := victim.List(ctx, "fixme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) == 0 {
-		t.Skip("victim store holds no shares; rateless race left it empty")
+	// Lose one server's shares outright: the first store that holds
+	// any (the rateless race may leave some empty).
+	var victim blockstore.Store
+	var idx []int
+	for _, st := range stores {
+		held, err := st.List(ctx, "fixme")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(held) > 0 {
+			victim, idx = st, held
+			break
+		}
 	}
 	for _, i := range idx {
 		if err := victim.Delete(ctx, "fixme", i); err != nil {

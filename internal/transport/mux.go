@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 )
 
@@ -73,31 +76,31 @@ const (
 	muxRespChunkOverhead = 2     // flags + status
 )
 
-// muxHdrPool pools the [kind][id] header bytes of outgoing v2 frames;
-// like frameHdrPool, a leased header must survive until the vectored
-// write drains, which the synchronous writeFrameVec guarantees.
-var muxHdrPool = sync.Pool{New: func() any { return new([muxHeaderLen + muxRespChunkOverhead]byte) }}
-
-// writeMuxFrame writes one v2 frame under the caller's write lock.
-// head is the kind-specific prefix placed between the stream id and
-// the chunk (flags for REQ, flags+status for RESP, nothing for the
-// control kinds).
+// writeMuxFrame writes one v2 frame under the writer's lock as a
+// single vectored write: length prefix and header from the writer's
+// own scratch, the chunk in place. head is the kind-specific prefix
+// placed between the stream id and the chunk (flags for REQ,
+// flags+status for RESP, nothing for the control kinds).
 func writeMuxFrame(w *lockedWriter, kind byte, id uint32, head []byte, chunk []byte) error {
-	hdr := muxHdrPool.Get().(*[muxHeaderLen + muxRespChunkOverhead]byte)
-	defer muxHdrPool.Put(hdr)
-	hdr[0] = kind
-	hdr[1] = byte(id >> 24)
-	hdr[2] = byte(id >> 16)
-	hdr[3] = byte(id >> 8)
-	hdr[4] = byte(id)
-	n := muxHeaderLen
-	n += copy(hdr[n:], head)
+	n := muxHeaderLen + len(head) + len(chunk)
+	if n > MaxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	hdr := w.hdr[:]
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
+	hdr[4] = kind
+	binary.BigEndian.PutUint32(hdr[5:9], id)
+	hl := 4 + muxHeaderLen + copy(hdr[4+muxHeaderLen:], head)
+	w.vec[0], w.vec[1] = hdr[:hl], chunk
+	bufs := net.Buffers(w.vec[:])
 	if len(chunk) == 0 {
-		return writeFrame(w.w, hdr[:n])
+		bufs = bufs[:1]
 	}
-	return writeFrame(w.w, hdr[:n], chunk)
+	_, err := bufs.WriteTo(w.w)
+	w.vec[1] = nil // do not pin the caller's chunk
+	return err
 }
 
 // encodeMuxWindow packs a WINDOW body.
@@ -105,56 +108,157 @@ func encodeMuxWindow(credit int) [4]byte {
 	return [4]byte{byte(credit >> 24), byte(credit >> 16), byte(credit >> 8), byte(credit)}
 }
 
-// decodeMuxFrame parses one v2 frame body (the bytes after the outer
-// length prefix). The chunk aliases body.
-func decodeMuxFrame(body []byte) (muxFrame, error) {
-	if len(body) < muxHeaderLen {
-		return muxFrame{}, fmt.Errorf("transport: short mux frame (%d bytes)", len(body))
+// muxHeadLen is the fixed header length of a frame kind: kind, stream
+// id, and the kind-specific prefix (flags for REQ, flags+status for
+// RESP) that precedes the chunk.
+func muxHeadLen(kind byte) (int, error) {
+	switch kind {
+	case muxKindReq:
+		return muxHeaderLen + muxReqChunkOverhead, nil
+	case muxKindResp:
+		return muxHeaderLen + muxRespChunkOverhead, nil
+	case muxKindWindow, muxKindReset:
+		return muxHeaderLen, nil
 	}
+	return 0, fmt.Errorf("transport: unknown mux frame kind %d", kind)
+}
+
+// parseMuxHead decodes a fixed header of exactly muxHeadLen bytes.
+func parseMuxHead(head []byte) muxFrame {
 	f := muxFrame{
-		kind: body[0],
-		id:   uint32(body[1])<<24 | uint32(body[2])<<16 | uint32(body[3])<<8 | uint32(body[4]),
+		kind: head[0],
+		id:   uint32(head[1])<<24 | uint32(head[2])<<16 | uint32(head[3])<<8 | uint32(head[4]),
 	}
-	rest := body[muxHeaderLen:]
 	switch f.kind {
 	case muxKindReq:
-		if len(rest) < muxReqChunkOverhead {
-			return muxFrame{}, fmt.Errorf("transport: short mux REQ frame")
-		}
-		f.flags = rest[0]
-		f.chunk = rest[muxReqChunkOverhead:]
+		f.flags = head[muxHeaderLen]
 	case muxKindResp:
-		if len(rest) < muxRespChunkOverhead {
-			return muxFrame{}, fmt.Errorf("transport: short mux RESP frame")
-		}
-		f.flags = rest[0]
-		f.status = rest[1]
-		f.chunk = rest[muxRespChunkOverhead:]
-	case muxKindWindow:
-		if len(rest) != 4 {
-			return muxFrame{}, fmt.Errorf("transport: malformed mux WINDOW frame (%d bytes)", len(rest))
-		}
-		credit := uint32(rest[0])<<24 | uint32(rest[1])<<16 | uint32(rest[2])<<8 | uint32(rest[3])
-		// The wire field is a signed 31-bit credit; a set sign bit is
-		// malformed regardless of the host int width.
-		if credit > 0x7FFFFFFF {
-			return muxFrame{}, fmt.Errorf("transport: negative mux window credit")
-		}
-		f.credit = int(credit)
-	case muxKindReset:
-		f.chunk = rest
-	default:
-		return muxFrame{}, fmt.Errorf("transport: unknown mux frame kind %d", f.kind)
+		f.flags = head[muxHeaderLen]
+		f.status = head[muxHeaderLen+1]
 	}
-	return f, nil
+	return f
+}
+
+// setBody completes a frame from the bytes after its fixed header: the
+// chunk of a REQ, RESP or RESET (aliased, not copied), or a WINDOW's
+// credit.
+func (f *muxFrame) setBody(rest []byte) error {
+	if f.kind != muxKindWindow {
+		f.chunk = rest
+		return nil
+	}
+	if len(rest) != 4 {
+		return fmt.Errorf("transport: malformed mux WINDOW frame (%d bytes)", len(rest))
+	}
+	credit := uint32(rest[0])<<24 | uint32(rest[1])<<16 | uint32(rest[2])<<8 | uint32(rest[3])
+	// The wire field is a signed 31-bit credit; a set sign bit is
+	// malformed regardless of the host int width.
+	if credit > 0x7FFFFFFF {
+		return fmt.Errorf("transport: negative mux window credit")
+	}
+	f.credit = int(credit)
+	return nil
+}
+
+// muxReader reads v2 frames off one connection into a single body
+// buffer reused for every frame (DESIGN.md §10): a frame's chunk
+// aliases that buffer and is valid only until the next read, so every
+// consumer copies what it keeps. readHead/readBody split a frame so a
+// caller can instead land a chunk straight in its destination (read)
+// — the client's response assembly.
+type muxReader struct {
+	r    io.Reader
+	head [4 + muxHeaderLen + muxRespChunkOverhead]byte
+	buf  []byte
+}
+
+// muxReadBufMax caps the body buffer a connection keeps between
+// frames: a full data chunk plus its header. A larger frame (legal up
+// to MaxFrame, never sent by this package) is read into a one-off
+// buffer so it does not pin that much memory for the connection's
+// lifetime.
+const muxReadBufMax = muxChunkSize + muxHeaderLen + muxRespChunkOverhead
+
+// muxReadAhead sizes the read-ahead buffer under a muxReader: enough
+// to batch control frames and headers into one read, small enough that
+// little of a data chunk is copied through it before the rest lands
+// directly in its destination.
+const muxReadAhead = 4 << 10
+
+// next reads one whole frame; its chunk is valid until the next read.
+func (mr *muxReader) next() (muxFrame, error) {
+	f, rest, err := mr.readHead()
+	if err != nil {
+		return muxFrame{}, err
+	}
+	return f, mr.readBody(&f, rest)
+}
+
+// readHead reads a frame's length prefix and fixed header, leaving
+// rest body bytes unread; the caller consumes exactly those with
+// readBody or readInto before the next readHead.
+func (mr *muxReader) readHead() (f muxFrame, rest int, err error) {
+	// Every valid frame is at least muxHeaderLen long, so the length
+	// prefix and kind+id come in one read (a shorter frame is fatal to
+	// the connection, so over-reading into the next one is moot).
+	if _, err := io.ReadFull(mr.r, mr.head[:4+muxHeaderLen]); err != nil {
+		return muxFrame{}, 0, err
+	}
+	n := int(binary.BigEndian.Uint32(mr.head[:4]))
+	if n > MaxFrame {
+		return muxFrame{}, 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	}
+	if n < muxHeaderLen {
+		return muxFrame{}, 0, fmt.Errorf("transport: short mux frame (%d bytes)", n)
+	}
+	kind := mr.head[4]
+	hl, err := muxHeadLen(kind)
+	if err != nil {
+		return muxFrame{}, 0, err
+	}
+	if n < hl {
+		return muxFrame{}, 0, fmt.Errorf("transport: short mux frame kind %d (%d bytes)", kind, n)
+	}
+	if _, err := io.ReadFull(mr.r, mr.head[4+muxHeaderLen:4+hl]); err != nil {
+		return muxFrame{}, 0, err
+	}
+	return parseMuxHead(mr.head[4 : 4+hl]), n - hl, nil
+}
+
+// readBody reads the rest of the current frame into the reused buffer
+// and completes f from it.
+func (mr *muxReader) readBody(f *muxFrame, rest int) error {
+	var b []byte
+	switch {
+	case rest <= cap(mr.buf):
+		b = mr.buf[:rest]
+	case rest <= muxReadBufMax:
+		mr.buf = make([]byte, muxReadBufMax)
+		b = mr.buf[:rest]
+	default:
+		b = make([]byte, rest)
+	}
+	if _, err := io.ReadFull(mr.r, b); err != nil {
+		return err
+	}
+	return f.setBody(b)
+}
+
+// read reads the next len(dst) body bytes of the current frame
+// straight into dst.
+func (mr *muxReader) read(dst []byte) error {
+	_, err := io.ReadFull(mr.r, dst)
+	return err
 }
 
 // lockedWriter serializes frame writes onto one shared connection.
 // The lock is held per frame, never across flow-control waits — a
 // stream blocked on credit must not wedge the peer's WINDOW grants.
 type lockedWriter struct {
-	mu sync.Mutex
-	w  interface{ Write([]byte) (int, error) }
+	mu  sync.Mutex
+	w   interface{ Write([]byte) (int, error) }
+	hdr [4 + muxHeaderLen + muxRespChunkOverhead]byte // guarded by mu
+	vec [2][]byte                                     // guarded by mu
 }
 
 // creditGate is one direction of a stream's flow-control window: the

@@ -2,11 +2,22 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// decodeMuxFrame parses one v2 frame body (the bytes after the outer
+// length prefix) through the connections' muxReader.
+func decodeMuxFrame(body []byte) (muxFrame, error) {
+	var prefix [4]byte
+	binary.BigEndian.PutUint32(prefix[:], uint32(len(body)))
+	mr := &muxReader{r: io.MultiReader(bytes.NewReader(prefix[:]), bytes.NewReader(body))}
+	return mr.next()
+}
 
 // encodeMuxTestFrame writes one v2 frame through the production writer
 // and returns its body (length prefix stripped), i.e. exactly what

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -64,13 +66,110 @@ type muxStream struct {
 	gotStatus bool
 	// onData, when set (under mu, before the request goes out),
 	// receives OK-status response chunks as they arrive instead of
-	// buffering them in buf — the streaming-ack fast path. The chunk
-	// aliases the frame body and is valid only during the call.
-	onData   func(chunk []byte)
-	buf      []byte
+	// buffering them — the streaming-ack fast path. The chunk aliases
+	// the connection's reused frame buffer and is valid only during the
+	// call.
+	onData func(chunk []byte)
+	// A buffered response is read off the wire straight into its final
+	// home: a single-frame response into resp, allocated at its exact
+	// size; a multi-frame one into leased chunk-sized parts, filled in
+	// turn and joined once by takeResponse. Nothing is appended to or
+	// regrown.
+	resp     []byte
+	parts    []*[]byte
+	size     int // buffered response bytes so far
 	finished bool
 	err      error
 	done     chan struct{}
+}
+
+// respPartPool recycles the chunk-sized parts a multi-frame response
+// is read into. A part is leased by the demux goroutine, parked on its
+// stream, and released exactly once: by takeResponse after the stream
+// finishes, or by addPart if the stream finished first.
+var respPartPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// getRespPart leases an empty part with room for one chunk.
+func getRespPart() *[]byte {
+	b := respPartPool.Get().(*[]byte)
+	if cap(*b) < muxChunkSize {
+		*b = make([]byte, 0, muxChunkSize)
+	}
+	*b = (*b)[:0]
+	return b
+}
+
+// putRespPart releases a part. Parts of any other size (see
+// tailPart) are left to the collector.
+func putRespPart(b *[]byte) {
+	if cap(*b) == muxChunkSize {
+		respPartPool.Put(b)
+	}
+}
+
+// respTailMax is the largest remainder that gets a part of its own
+// exact size instead of a pooled chunk-sized one: a response one
+// envelope longer than a chunk multiple (a sealed 256 KiB share is
+// 2×128 KiB + 8) should not pin a whole pooled part for 8 bytes.
+const respTailMax = muxChunkSize / 8
+
+// tailPart returns a part with room for more bytes, owned by the
+// caller until it hands it back with addPart: the stream's last part
+// while it has room (unparked, so a concurrent takeResponse cannot
+// release it mid-read), else — when the response's last n bytes are
+// all that is left and they are few — an exact-size part, else a
+// fresh lease. Called by the demux goroutine only.
+func (s *muxStream) tailPart(n int, last bool) *[]byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k := len(s.parts); k > 0 && !s.finished {
+		if p := s.parts[k-1]; len(*p) < cap(*p) {
+			s.parts = s.parts[:k-1]
+			return p
+		}
+	}
+	if last && n <= respTailMax {
+		b := make([]byte, 0, n)
+		return &b
+	}
+	//lint:ignore poollease ownership passes to the demux caller, which parks the part with addPart (or releases it on a read error); takeResponse or addPart releases it exactly once
+	return getRespPart()
+}
+
+// addPart parks a part on the stream; a part that comes back after
+// the stream finished (abandoned while the demux was reading) is
+// released on the spot. Called by the demux goroutine only.
+func (s *muxStream) addPart(p *[]byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.finished {
+		putRespPart(p)
+		return
+	}
+	s.parts = append(s.parts, p)
+}
+
+// takeResponse hands over the buffered response once the stream has
+// finished — one exact-size allocation for a multi-frame body — and
+// releases every leased part. Safe to call on a failed stream: it
+// just releases the parts.
+func (s *muxStream) takeResponse() []byte {
+	s.mu.Lock()
+	resp, parts := s.resp, s.parts
+	s.resp, s.parts = nil, nil
+	s.mu.Unlock()
+	if len(parts) == 0 {
+		return resp
+	}
+	bufs := make([][]byte, len(parts))
+	for i, p := range parts {
+		bufs[i] = *p
+	}
+	out := bytes.Join(bufs, nil) // exact size, not pre-zeroed
+	for _, p := range parts {
+		putRespPart(p)
+	}
+	return out
 }
 
 // finish completes a stream exactly once.
@@ -311,63 +410,29 @@ func (m *muxConn) lookup(id uint32) (*muxStream, bool) {
 // error. It deliberately has no context: the loop exits when the
 // connection closes, which fatal() and Close() both arrange.
 //
-//lint:ignore ctxcancel conn-lifetime loop; fatal()/Close() unblock readFrame via conn.Close
+//lint:ignore ctxcancel conn-lifetime loop; fatal()/Close() unblock the read via conn.Close
 func (m *muxConn) demux() {
 	defer close(m.done)
+	mr := &muxReader{r: bufio.NewReaderSize(m.conn, muxReadAhead)}
 	for {
-		body, err := readFrame(m.conn)
-		if err != nil {
-			m.fatal(err)
-			return
-		}
-		f, err := decodeMuxFrame(body)
+		f, rest, err := mr.readHead()
 		if err != nil {
 			m.fatal(err)
 			return
 		}
 		m.c.m.muxFramesRecv.Inc()
+		if f.kind == muxKindResp {
+			if err := m.demuxResp(mr, f, rest); err != nil {
+				m.fatal(err)
+				return
+			}
+			continue
+		}
+		if err := mr.readBody(&f, rest); err != nil {
+			m.fatal(err)
+			return
+		}
 		switch f.kind {
-		case muxKindResp:
-			s, ok := m.lookup(f.id)
-			if !ok {
-				// Late frame for a timed-out/completed stream: discard
-				// without granting credit — the server quiesces on its
-				// own window, and the earlier RESET told it to stop.
-				m.c.m.muxLateFrames.Inc()
-				continue
-			}
-			s.mu.Lock()
-			if !s.gotStatus {
-				s.status = f.status
-				s.gotStatus = true
-			}
-			onData := s.onData
-			if onData != nil && s.status == statusOK {
-				s.mu.Unlock()
-				if len(f.chunk) > 0 {
-					onData(f.chunk)
-				}
-			} else {
-				// Buffered path — also where a streaming op's error
-				// response lands, so statusToError sees the message.
-				if len(s.buf)+len(f.chunk) > MaxFrame {
-					s.mu.Unlock()
-					m.fatal(fmt.Errorf("transport: mux stream %d exceeds %d bytes", f.id, MaxFrame))
-					return
-				}
-				s.buf = append(s.buf, f.chunk...)
-				s.mu.Unlock()
-			}
-			if len(f.chunk) > 0 {
-				// Return consumed credit via the async control queue so
-				// this read loop never blocks on the write side (see
-				// ctlQueue for the two-sided deadlock it prevents).
-				m.ctl.grant(f.id, len(f.chunk))
-			}
-			if f.flags&muxFlagFIN != 0 {
-				m.unregister(f.id)
-				s.finish(nil)
-			}
 		case muxKindWindow:
 			if s, ok := m.lookup(f.id); ok {
 				s.send.grant(f.credit)
@@ -377,11 +442,85 @@ func (m *muxConn) demux() {
 				m.unregister(f.id)
 				s.finish(fmt.Errorf("transport: stream reset by server: %s", f.chunk))
 			}
-		default: // REQ from a server, or an unknown kind survived decode
+		default: // REQ from a server
 			m.fatal(fmt.Errorf("transport: unexpected mux frame kind %d from server", f.kind))
 			return
 		}
 	}
+}
+
+// demuxResp routes one RESP frame whose header has been read and whose
+// rest chunk bytes are still on the wire. A streaming consumer sees
+// the chunk in the reused frame buffer; a buffered response has it
+// read straight into its final home (see muxStream.resp/parts).
+func (m *muxConn) demuxResp(mr *muxReader, f muxFrame, rest int) error {
+	s, ok := m.lookup(f.id)
+	if !ok {
+		// Late frame for a timed-out/completed stream: discard without
+		// granting credit — the server quiesces on its own window, and
+		// the earlier RESET told it to stop.
+		m.c.m.muxLateFrames.Inc()
+		return mr.readBody(&f, rest)
+	}
+	fin := f.flags&muxFlagFIN != 0
+	s.mu.Lock()
+	if !s.gotStatus {
+		s.status = f.status
+		s.gotStatus = true
+	}
+	onData := s.onData
+	streaming := onData != nil && s.status == statusOK
+	first := s.size == 0
+	s.size += rest
+	size := s.size
+	s.mu.Unlock()
+	switch {
+	case streaming:
+		if err := mr.readBody(&f, rest); err != nil {
+			return err
+		}
+		if rest > 0 {
+			onData(f.chunk)
+		}
+	case size > MaxFrame:
+		return fmt.Errorf("transport: mux stream %d exceeds %d bytes", f.id, MaxFrame)
+	case rest == 0:
+	case fin && first:
+		// The whole response in one frame: its exact size is known, so
+		// it lands in the buffer handed to the caller.
+		b := make([]byte, rest)
+		if err := mr.read(b); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		s.resp = b
+		s.mu.Unlock()
+	default:
+		// Fill the stream's parts in turn; a chunk may straddle two.
+		for left := rest; left > 0; {
+			p := s.tailPart(left, fin)
+			n := len(*p)
+			k := min(left, cap(*p)-n)
+			*p = (*p)[:n+k]
+			if err := mr.read((*p)[n:]); err != nil {
+				putRespPart(p)
+				return err
+			}
+			s.addPart(p)
+			left -= k
+		}
+	}
+	if rest > 0 {
+		// Return consumed credit via the async control queue so this
+		// read loop never blocks on the write side (see ctlQueue for
+		// the two-sided deadlock it prevents).
+		m.ctl.grant(f.id, rest)
+	}
+	if fin {
+		m.unregister(f.id)
+		s.finish(nil)
+	}
+	return nil
 }
 
 // exchange runs one request/response over its own stream. chunks is
@@ -446,12 +585,14 @@ func (m *muxConn) exchange(ctx context.Context, chunks [][]byte) (byte, []byte, 
 		// The stream may already carry a more precise failure (timeout,
 		// reset) that closed the send gate under the writer.
 		<-s.done
+		s.takeResponse()
 		if s.err != nil {
 			return 0, nil, s.err
 		}
 		return 0, nil, err
 	}
 	<-s.done
+	resp := s.takeResponse()
 	if s.err != nil {
 		return 0, nil, s.err
 	}
@@ -467,9 +608,9 @@ func (m *muxConn) exchange(ctx context.Context, chunks [][]byte) (byte, []byte, 
 		sent += int64(len(ch))
 	}
 	m.c.m.bytesSent.Add(sent)
-	m.c.m.bytesRecv.Add(int64(len(s.buf)))
+	m.c.m.bytesRecv.Add(int64(len(resp)))
 	m.c.m.roundTrip.Observe(time.Since(start).Seconds())
-	return s.status, s.buf, nil
+	return s.status, resp, nil
 }
 
 // abandon fails one stream locally and RESETs it remotely.
@@ -636,29 +777,36 @@ func (p *putStreamAcks) feed(chunk []byte) {
 	if p.done {
 		return
 	}
-	p.buf = append(p.buf, chunk...)
-	for len(p.buf) >= batchResultOverhead {
-		idx := int(binary.BigEndian.Uint32(p.buf[0:4]))
-		status := p.buf[4]
-		n := int(binary.BigEndian.Uint32(p.buf[5:9]))
+	// Whole acks are parsed straight out of the chunk; only a partial
+	// one is copied aside (the chunk aliases the frame buffer).
+	data := chunk
+	if len(p.buf) > 0 {
+		p.buf = append(p.buf, chunk...)
+		data = p.buf
+	}
+	for len(data) >= batchResultOverhead {
+		idx := int(binary.BigEndian.Uint32(data[0:4]))
+		status := data[4]
+		n := int(binary.BigEndian.Uint32(data[5:9]))
 		if idx < 0 || n < 0 || n > MaxFrame {
 			p.fail(fmt.Errorf("transport: malformed put stream ack (index %d, %d bytes)", idx, n))
 			return
 		}
-		if len(p.buf) < batchResultOverhead+n {
-			return // wait for the rest of the message
+		if len(data) < batchResultOverhead+n {
+			break // wait for the rest of the message
 		}
 		if p.pos >= len(p.puts) || idx != p.puts[p.pos].Index {
 			p.fail(fmt.Errorf("transport: put stream ack for index %d, want %d", idx, p.puts[p.pos%len(p.puts)].Index))
 			return
 		}
-		err := batchEntryError(status, p.buf[batchResultOverhead:batchResultOverhead+n])
-		p.buf = p.buf[batchResultOverhead+n:]
+		err := batchEntryError(status, data[batchResultOverhead:batchResultOverhead+n])
+		data = data[batchResultOverhead+n:]
 		i := p.pos
 		p.pos++
 		p.progress.Store(time.Now().UnixNano())
 		p.acked(i, err)
 	}
+	p.buf = append(p.buf[:0], data...)
 }
 
 // fail abandons the stream on a protocol violation (called with p.mu
@@ -755,6 +903,7 @@ func (m *muxConn) putStream(ctx context.Context, segment string, puts []blocksto
 
 	werr := m.writeRequest(s, chunks)
 	<-s.done
+	resp := s.takeResponse() // an error response's message, if any
 
 	var terminal error
 	switch {
@@ -763,7 +912,7 @@ func (m *muxConn) putStream(ctx context.Context, segment string, puts []blocksto
 	case !s.gotStatus:
 		terminal = errors.New("transport: empty mux response")
 	case s.status != statusOK:
-		terminal = statusToError(s.status, s.buf)
+		terminal = statusToError(s.status, resp)
 	case werr != nil:
 		terminal = werr
 	}

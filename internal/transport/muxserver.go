@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admission"
@@ -89,16 +91,18 @@ type muxServerStream struct {
 // in-flight stream.
 func (m *muxServerConn) serve() {
 	defer m.teardown()
-	//lint:ignore ctxcancel conn-lifetime loop; teardown cancels per-stream ctxs and conn close unblocks readFrame
+	// One reused frame buffer for the connection: a frame's chunk is
+	// valid only until the next read, so every consumer below copies
+	// what it keeps (DESIGN.md §10).
+	mr := &muxReader{r: bufio.NewReaderSize(m.conn, muxReadAhead)}
+	//lint:ignore ctxcancel conn-lifetime loop; teardown cancels per-stream ctxs and conn close unblocks the read
 	for {
-		body, err := readFrame(m.conn)
+		f, err := mr.next()
 		if err != nil {
-			return // EOF or broken connection
-		}
-		f, err := decodeMuxFrame(body)
-		if err != nil {
-			m.s.logf("transport: bad mux frame from %v: %v", m.conn.RemoteAddr(), err)
-			return
+			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
+				m.s.logf("transport: mux connection from %v: %v", m.conn.RemoteAddr(), err)
+			}
+			return // EOF, broken connection or malformed frame
 		}
 		switch f.kind {
 		case muxKindReq:
@@ -158,15 +162,26 @@ func (m *muxServerConn) handleReq(f muxFrame) {
 		}
 		return
 	}
-	if len(st.buf)+len(f.chunk) > MaxFrame {
+	prev := len(st.buf)
+	if prev+len(f.chunk) > MaxFrame {
 		m.resetStream(f.id, []byte("transport: mux request body overflow"))
 		return
 	}
-	prev := len(st.buf)
-	st.buf = append(st.buf, f.chunk...)
-	if op, hdrLen, ok := peekRequest(st.buf); ok && op == opPutStream {
-		m.startPutStream(st, hdrLen, prev, fin)
+	// body aliases the connection's frame buffer until it is copied
+	// into the stream: into st.buf for a unary request (exactly sized
+	// when the request fits one frame), into the PUTSTREAM buffer for
+	// entry bytes.
+	body := f.chunk
+	if prev > 0 {
+		st.buf = append(st.buf, f.chunk...)
+		body = st.buf
+	}
+	if op, hdrLen, ok := peekRequest(body); ok && op == opPutStream {
+		m.startPutStream(st, body, hdrLen, prev, fin)
 		return
+	}
+	if prev == 0 && len(f.chunk) > 0 {
+		st.buf = append([]byte(nil), f.chunk...)
 	}
 	if !fin {
 		// Return the consumed credit (async, so the read loop never
@@ -190,34 +205,35 @@ func (m *muxServerConn) handleReq(f muxFrame) {
 }
 
 // startPutStream switches a stream into incremental PUTSTREAM mode
-// the moment its request header is complete: entry bytes already
-// buffered behind the header are handed to a consumer goroutine, and
-// later REQ chunks feed it directly without whole-request reassembly.
-func (m *muxServerConn) startPutStream(st *muxServerStream, hdrLen, prev int, fin bool) {
-	req, err := decodeRequest(st.buf[:hdrLen])
+// the moment its request header is complete: a consumer goroutine
+// starts draining entries, the entry bytes already received behind
+// the header are fed to it, and later REQ chunks feed it directly
+// without whole-request reassembly. body is the request so far; prev
+// of its bytes arrived in earlier chunks.
+func (m *muxServerConn) startPutStream(st *muxServerStream, body []byte, hdrLen, prev int, fin bool) {
+	req, err := decodeRequest(body[:hdrLen])
 	if err != nil {
 		m.resetStream(st.id, []byte(err.Error()))
 		return
 	}
-	ps := newMuxPutStream(req.segment, req.index)
+	ps := newMuxPutStream(req.segment, req.index, m.settings.window)
 	st.stream = ps
 	st.fin = fin
+	st.buf = nil
 	// Chunks that arrived before the header completed were granted on
 	// receipt; of this chunk only the header bytes are consumed now —
 	// entry bytes are granted as the consumer drains them.
 	if hb := hdrLen - prev; hb > 0 && !fin {
 		m.ctl.grant(st.id, hb)
 	}
-	if err := ps.feed(st.buf[hdrLen:], fin); err != nil {
-		m.resetStream(st.id, []byte(err.Error()))
-		return
-	}
-	st.buf = nil
 	sctx, cancel := context.WithCancel(m.ctx)
 	st.cancel = cancel
 	m.s.m.muxStreams.Inc()
 	m.wg.Add(1)
 	go m.servePutStream(sctx, st, ps)
+	if err := ps.feed(body[hdrLen:], fin); err != nil {
+		m.resetStream(st.id, []byte(err.Error()))
+	}
 }
 
 // sendReset tells the client to abandon one stream.
@@ -253,9 +269,7 @@ func (m *muxServerConn) resetStream(id uint32, msg []byte) {
 
 // finishStream retires a completed stream.
 func (m *muxServerConn) finishStream(st *muxServerStream) {
-	m.mu.Lock()
-	delete(m.streams, st.id)
-	m.mu.Unlock()
+	m.retire(st)
 	st.send.close(fmt.Errorf("transport: mux stream %d finished", st.id))
 	if st.stream != nil {
 		// If the consumer quit early (broken conn mid-ack) the read
@@ -344,6 +358,7 @@ func (m *muxServerConn) writeResponse(st *muxServerStream, status byte, chunks [
 			fin := byte(0)
 			if written+n == total {
 				fin = muxFlagFIN
+				m.retire(st)
 			}
 			if err := writeMuxFrame(m.w, muxKindResp, st.id, []byte{fin, status}, ch[:n]); err != nil {
 				return
@@ -353,50 +368,145 @@ func (m *muxServerConn) writeResponse(st *muxServerStream, status byte, chunks [
 		}
 	}
 	if total == 0 {
+		m.retire(st)
 		writeMuxFrame(m.w, muxKindResp, st.id, []byte{muxFlagFIN, status}, nil)
 	}
 }
 
-// muxPutStream carries one PUTSTREAM request's entry bytes from the
-// connection read loop to its consumer goroutine. It holds only the
-// not-yet-consumed tail of the stream, which flow control keeps
-// window-sized; MaxFrame is the backstop against a client that sends
-// past its credit.
+// retire drops a stream from the open set just before its FIN goes
+// out: the client may open its next stream the moment it sees the
+// FIN, and that stream must not find this one still counted against
+// the stream limit. finishStream does the rest of the cleanup.
+func (m *muxServerConn) retire(st *muxServerStream) {
+	m.mu.Lock()
+	if m.streams[st.id] == st {
+		delete(m.streams, st.id)
+	}
+	m.mu.Unlock()
+}
+
+// muxPutStream carries one PUTSTREAM request's entries from the
+// connection read loop to its consumer goroutine (DESIGN.md §10).
+// feed parses entry headers as chunks arrive and copies each entry's
+// data into a buffer of exactly its size, leased when its header
+// completes; next hands the consumer the oldest complete entry in
+// place, and done releases its buffer once the store is finished with
+// it. Entry data is copied once, never moved, appended to or regrown.
+//
+// An entry's credit is granted only after done, so the entry bytes
+// received and not yet done never exceed the stream's window: flow
+// control bounds the stream's buffers by what is actually in flight,
+// and a client that sends past its credit is a protocol violation.
 type muxPutStream struct {
 	segment  string
 	declared int // entry count from the request header's index field
+	window   int // the stream's credit window
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	buf  []byte
-	fin  bool
-	err  error
+	mu    sync.Mutex
+	cond  *sync.Cond
+	fin   bool
+	err   error
+	inUse int // entry wire bytes received and not yet done
+
+	// The entry being received (feed) ...
+	hdr     [putBatchEntryOverhead]byte // its header, possibly split across chunks
+	nhdr    int
+	fill    *[]byte // its data buffer once the header is complete
+	fillIdx int
+	nfill   int
+	// ... the complete ones, oldest first from ready[head], and the one
+	// next handed out.
+	ready []streamEntry
+	head  int
+	held  streamEntry
 }
 
-func newMuxPutStream(segment string, declared int) *muxPutStream {
-	p := &muxPutStream{segment: segment, declared: declared}
+// streamEntry is one PUTSTREAM entry whose data buffer is leased.
+type streamEntry struct {
+	idx  int
+	data *[]byte
+}
+
+// putStreamBufPool recycles PUTSTREAM entry buffers. A stream's
+// entries are usually all one block size, so a warm pool serves them
+// without allocating.
+var putStreamBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// putStreamBufLeases counts outstanding PUTSTREAM entry buffers; the
+// tests pin it to zero after streams end by any path, so every buffer
+// is provably returned exactly once.
+var putStreamBufLeases atomic.Int64
+
+// getPutStreamBuf leases a buffer of length n.
+func getPutStreamBuf(n int) *[]byte {
+	putStreamBufLeases.Add(1)
+	b := putStreamBufPool.Get().(*[]byte)
+	if cap(*b) < n {
+		*b = make([]byte, n)
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+// putPutStreamBuf releases a buffer.
+func putPutStreamBuf(b *[]byte) {
+	putStreamBufLeases.Add(-1)
+	putStreamBufPool.Put(b)
+}
+
+func newMuxPutStream(segment string, declared, window int) *muxPutStream {
+	p := &muxPutStream{segment: segment, declared: declared, window: window}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// feed appends one REQ chunk's entry bytes. Chunks after a failure are
-// dropped — the reset is already on its way to the client.
+// feed copies one REQ chunk's entry bytes into their entries' buffers.
+// Chunks after a failure or release are dropped — the reset is already
+// on its way to the client. A malformed entry header fails the stream
+// through next; bytes past the window also return the error.
 func (p *muxPutStream) feed(chunk []byte, fin bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.err != nil {
 		return nil
 	}
-	if len(p.buf)+len(chunk) > MaxFrame {
+	defer p.cond.Broadcast()
+	if p.inUse += len(chunk); p.inUse > p.window {
 		p.err = errors.New("transport: mux request body overflow")
-		p.cond.Broadcast()
 		return p.err
 	}
-	p.buf = append(p.buf, chunk...)
+	for len(chunk) > 0 {
+		if p.fill == nil {
+			k := copy(p.hdr[p.nhdr:], chunk)
+			p.nhdr += k
+			chunk = chunk[k:]
+			if p.nhdr < putBatchEntryOverhead {
+				break
+			}
+			idx := int(binary.BigEndian.Uint32(p.hdr[0:4]))
+			n := int(binary.BigEndian.Uint32(p.hdr[4:8]))
+			// An entry's credit is granted only after it is consumed, so
+			// one larger than the window could never arrive whole.
+			if idx < 0 || n < 0 || putBatchEntryOverhead+n > p.window {
+				p.err = fmt.Errorf("transport: malformed put stream entry (index %d, %d bytes; window %d)", idx, n, p.window)
+				return nil
+			}
+			p.nhdr = 0
+			p.fillIdx, p.nfill = idx, 0
+			//lint:ignore poollease the entry buffer moves fill → ready → held under p.mu and is released exactly once, by done or by the stream's release
+			p.fill = getPutStreamBuf(n)
+		}
+		k := copy((*p.fill)[p.nfill:], chunk)
+		p.nfill += k
+		chunk = chunk[k:]
+		if p.nfill == len(*p.fill) {
+			p.ready = append(p.ready, streamEntry{idx: p.fillIdx, data: p.fill})
+			p.fill = nil
+		}
+	}
 	if fin {
 		p.fin = true
 	}
-	p.cond.Broadcast()
 	return nil
 }
 
@@ -411,39 +521,77 @@ func (p *muxPutStream) fail(err error) {
 	p.mu.Unlock()
 }
 
-// next blocks until one complete entry is buffered and returns it,
-// with consumed the wire bytes it covered (header + data) — the
-// credit to hand back. The entry data is copied into dst (grown as
-// needed, reused across calls) because feed keeps appending into the
-// shared buffer after next reslices it. Returns io.EOF once the FIN
-// chunk arrived and the buffer drained.
-func (p *muxPutStream) next(dst []byte) (idx int, data []byte, consumed int, err error) {
+// errPutStreamReleased fails a stream whose buffers were released.
+var errPutStreamReleased = errors.New("transport: put stream released")
+
+// release returns every entry buffer the stream still holds to the
+// pool, exactly once. The stream's consumer calls it when it exits;
+// the entry it last held is dead by then.
+func (p *muxPutStream) release() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.err == nil {
+		p.err = errPutStreamReleased
+	}
+	p.doneLocked()
+	for _, e := range p.ready[p.head:] {
+		putPutStreamBuf(e.data)
+	}
+	p.ready, p.head = nil, 0
+	if p.fill != nil {
+		putPutStreamBuf(p.fill)
+		p.fill = nil
+	}
+	p.cond.Broadcast()
+}
+
+// next blocks until the oldest entry is complete and returns it in
+// place: data is valid until done. consumed is the wire bytes it
+// covers (header + data) — the credit to hand back after done.
+// Returns io.EOF once the FIN chunk arrived and every entry was
+// consumed.
+func (p *muxPutStream) next() (idx int, data []byte, consumed int, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.doneLocked()
 	for {
 		if p.err != nil {
 			return 0, nil, 0, p.err
 		}
-		if len(p.buf) >= putBatchEntryOverhead {
-			idx = int(binary.BigEndian.Uint32(p.buf[0:4]))
-			n := int(binary.BigEndian.Uint32(p.buf[4:8]))
-			if idx < 0 || n < 0 || n > MaxFrame {
-				return 0, nil, 0, fmt.Errorf("transport: malformed put stream entry (index %d, %d bytes)", idx, n)
+		if p.head < len(p.ready) {
+			p.held = p.ready[p.head]
+			p.ready[p.head] = streamEntry{}
+			if p.head++; p.head == len(p.ready) {
+				p.ready, p.head = p.ready[:0], 0
 			}
-			if len(p.buf) >= putBatchEntryOverhead+n {
-				data = append(dst[:0], p.buf[putBatchEntryOverhead:putBatchEntryOverhead+n]...)
-				p.buf = p.buf[putBatchEntryOverhead+n:]
-				return idx, data, putBatchEntryOverhead + n, nil
-			}
+			data = *p.held.data
+			return p.held.idx, data, putBatchEntryOverhead + len(data), nil
 		}
 		if p.fin {
-			if len(p.buf) == 0 {
+			if p.fill == nil && p.nhdr == 0 {
 				return 0, nil, 0, io.EOF
 			}
 			return 0, nil, 0, errors.New("transport: truncated put stream entry")
 		}
 		p.cond.Wait()
 	}
+}
+
+// done releases the buffer of the entry next last handed out; its
+// data is dead from here on.
+func (p *muxPutStream) done() {
+	p.mu.Lock()
+	p.doneLocked()
+	p.mu.Unlock()
+}
+
+func (p *muxPutStream) doneLocked() {
+	if p.held.data == nil {
+		return
+	}
+	p.inUse -= putBatchEntryOverhead + len(*p.held.data)
+	putPutStreamBuf(p.held.data)
+	p.held = streamEntry{}
 }
 
 // servePutStream consumes one PUTSTREAM request's entries as they
@@ -461,13 +609,14 @@ func (m *muxServerConn) servePutStream(ctx context.Context, st *muxServerStream,
 	defer func() {
 		m.s.m.opSeconds[opPutStream].Observe(time.Since(start).Seconds())
 	}()
-	var entryBuf, ackBuf []byte
+	defer ps.release() // runs first: no entry is held past this point
+	var ackBuf []byte
 	count := 0
 	for {
 		if ctx.Err() != nil {
 			return // connection tearing down; finishStream fails the feed
 		}
-		idx, data, consumed, err := ps.next(entryBuf)
+		idx, data, consumed, err := ps.next()
 		if err == io.EOF {
 			break
 		}
@@ -476,8 +625,6 @@ func (m *muxServerConn) servePutStream(ctx context.Context, st *muxServerStream,
 			m.resetStream(st.id, []byte(err.Error()))
 			return
 		}
-		entryBuf = data
-		m.ctl.grant(st.id, consumed)
 		count++
 		if count > ps.declared {
 			m.s.m.errors.Inc()
@@ -486,6 +633,10 @@ func (m *muxServerConn) servePutStream(ctx context.Context, st *muxServerStream,
 		}
 		m.s.m.batchBlocks.Inc()
 		status, msg := m.putStreamEntry(ctx, ps.segment, idx, data)
+		// The entry's region is free once the store is done with it;
+		// only then may the client send its credit's worth more.
+		ps.done()
+		m.ctl.grant(st.id, consumed)
 		ackBuf = appendBatchResultHeader(ackBuf[:0], idx, status, len(msg))
 		ackBuf = append(ackBuf, msg...)
 		if !m.writeAck(st, ackBuf) {
@@ -497,6 +648,7 @@ func (m *muxServerConn) servePutStream(ctx context.Context, st *muxServerStream,
 		m.resetStream(st.id, []byte(fmt.Sprintf("transport: put stream ended after %d of %d entries", count, ps.declared)))
 		return
 	}
+	m.retire(st)
 	writeMuxFrame(m.w, muxKindResp, st.id, []byte{muxFlagFIN, statusOK}, nil)
 }
 
@@ -512,7 +664,11 @@ func (m *muxServerConn) putStreamEntry(ctx context.Context, segment string, idx 
 		}
 		defer release()
 	}
-	return batchStatus(m.s.store.Put(ctx, segment, idx, data))
+	err := m.s.store.Put(ctx, segment, idx, data)
+	if err == nil {
+		m.s.m.blocksStored.Inc()
+	}
+	return batchStatus(err)
 }
 
 // writeAck streams one ack entry as credit-gated RESP chunks, FIN-less

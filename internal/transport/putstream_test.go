@@ -44,7 +44,7 @@ func TestQuickPutStreamEntryRoundTrip(t *testing.T) {
 			entries[i] = e
 		}
 		wire := buildPutEntries(entries)
-		ps := newMuxPutStream("seg", len(entries))
+		ps := newMuxPutStream("seg", len(entries), defaultMuxWindow)
 		rng := rand.New(rand.NewSource(seed))
 		go func() {
 			rest := wire
@@ -59,10 +59,10 @@ func TestQuickPutStreamEntryRoundTrip(t *testing.T) {
 				ps.feed(nil, true)
 			}
 		}()
-		var buf []byte
+		defer ps.release()
 		totalConsumed := 0
 		for i := range entries {
-			idx, data, consumed, err := ps.next(buf)
+			idx, data, consumed, err := ps.next()
 			if err != nil || idx != i || !bytes.Equal(data, entries[i]) {
 				return false
 			}
@@ -70,9 +70,8 @@ func TestQuickPutStreamEntryRoundTrip(t *testing.T) {
 				return false
 			}
 			totalConsumed += consumed
-			buf = data
 		}
-		if _, _, _, err := ps.next(buf); err != io.EOF {
+		if _, _, _, err := ps.next(); err != io.EOF {
 			return false
 		}
 		return totalConsumed == len(wire)
@@ -88,11 +87,12 @@ func TestQuickPutStreamEntryRoundTrip(t *testing.T) {
 func TestPutStreamTruncatedEntryFailsClean(t *testing.T) {
 	wire := buildPutEntries([][]byte{bytes.Repeat([]byte{7}, 64)})
 	for _, cut := range []int{3, putBatchEntryOverhead + 10} {
-		ps := newMuxPutStream("seg", 1)
+		ps := newMuxPutStream("seg", 1, defaultMuxWindow)
 		if err := ps.feed(wire[:cut], true); err != nil {
 			t.Fatalf("cut=%d: feed: %v", cut, err)
 		}
-		_, _, _, err := ps.next(nil)
+		_, _, _, err := ps.next()
+		ps.release()
 		if err == nil || err == io.EOF {
 			t.Fatalf("cut=%d: truncated stream yielded err=%v", cut, err)
 		}
@@ -103,33 +103,40 @@ func TestPutStreamTruncatedEntryFailsClean(t *testing.T) {
 }
 
 // TestPutStreamOversizedEntryRejected: an entry header claiming more
-// than MaxFrame bytes is a protocol violation, caught before any
-// buffering happens.
+// than MaxFrame bytes — or more than the stream's credit window, which
+// could never arrive whole — is a protocol violation, caught before
+// any buffering happens.
 func TestPutStreamOversizedEntryRejected(t *testing.T) {
-	var hdr [putBatchEntryOverhead]byte
-	binary.BigEndian.PutUint32(hdr[0:4], 0)
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(MaxFrame+1))
-	ps := newMuxPutStream("seg", 1)
-	if err := ps.feed(hdr[:], false); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ps.next(nil); err == nil || !strings.Contains(err.Error(), "malformed") {
-		t.Fatalf("oversized entry yielded err=%v", err)
+	const window = 64 << 10
+	for _, n := range []int{MaxFrame + 1, window - putBatchEntryOverhead + 1} {
+		var hdr [putBatchEntryOverhead]byte
+		binary.BigEndian.PutUint32(hdr[0:4], 0)
+		binary.BigEndian.PutUint32(hdr[4:8], uint32(n))
+		ps := newMuxPutStream("seg", 1, window)
+		if err := ps.feed(hdr[:], false); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := ps.next(); err == nil || !strings.Contains(err.Error(), "malformed") {
+			t.Fatalf("entry of %d bytes yielded err=%v", n, err)
+		}
+		ps.release()
 	}
 }
 
 // TestPutStreamFeedOverflow: a peer that streams past its credit gets
-// stopped by the MaxFrame backstop instead of growing the buffer.
+// stopped at the window instead of buffering without bound.
 func TestPutStreamFeedOverflow(t *testing.T) {
-	ps := newMuxPutStream("seg", 1)
-	big := make([]byte, MaxFrame)
-	if err := ps.feed(big, false); err != nil {
-		t.Fatalf("first feed within bound failed: %v", err)
+	const window = 64 << 10
+	ps := newMuxPutStream("seg", 2, window)
+	defer ps.release()
+	full := buildPutEntries([][]byte{bytes.Repeat([]byte{1}, window-putBatchEntryOverhead)})
+	if err := ps.feed(full, false); err != nil {
+		t.Fatalf("feed of one window failed: %v", err)
 	}
 	if err := ps.feed([]byte{1}, false); err == nil {
-		t.Fatal("feed past MaxFrame accepted")
+		t.Fatal("feed past the window accepted")
 	}
-	if _, _, _, err := ps.next(nil); err == nil {
+	if _, _, _, err := ps.next(); err == nil {
 		t.Fatal("consumer not told about the overflow")
 	}
 }
@@ -138,7 +145,8 @@ func TestPutStreamFeedOverflow(t *testing.T) {
 // waits for bytes must wake it with the terminal error — the
 // mid-chunk RESET path.
 func TestPutStreamFailWakesBlockedConsumer(t *testing.T) {
-	ps := newMuxPutStream("seg", 2)
+	ps := newMuxPutStream("seg", 2, defaultMuxWindow)
+	defer ps.release()
 	// Half an entry: the consumer blocks waiting for the rest.
 	wire := buildPutEntries([][]byte{bytes.Repeat([]byte{3}, 32)})
 	if err := ps.feed(wire[:putBatchEntryOverhead+5], false); err != nil {
@@ -146,7 +154,7 @@ func TestPutStreamFailWakesBlockedConsumer(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, _, _, err := ps.next(nil)
+		_, _, _, err := ps.next()
 		errc <- err
 	}()
 	time.Sleep(5 * time.Millisecond)

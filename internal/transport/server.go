@@ -35,8 +35,11 @@ type serverMetrics struct {
 	errors      *obs.Counter
 	busy        *obs.Counter
 	batchBlocks *obs.Counter
-	ops         map[byte]*obs.Counter
-	opSeconds   map[byte]*obs.Histogram
+	// blocksStored counts blocks the store accepted, whichever put
+	// path carried them (v1 PUT, PUTBATCH, PUTSTREAM).
+	blocksStored *obs.Counter
+	ops          map[byte]*obs.Counter
+	opSeconds    map[byte]*obs.Histogram
 
 	muxStreams  *obs.Counter
 	muxResets   *obs.Counter
@@ -46,10 +49,11 @@ type serverMetrics struct {
 
 func newServerMetrics(r *obs.Registry) serverMetrics {
 	m := serverMetrics{
-		conns:       r.Gauge("transport_server_conns"),
-		errors:      r.Counter("transport_server_errors_total"),
-		busy:        r.Counter("transport_server_busy_total"),
-		batchBlocks: r.Counter("transport_server_batch_blocks_total"),
+		conns:        r.Gauge("transport_server_conns"),
+		errors:       r.Counter("transport_server_errors_total"),
+		busy:         r.Counter("transport_server_busy_total"),
+		batchBlocks:  r.Counter("transport_server_batch_blocks_total"),
+		blocksStored: r.Counter("transport_server_blocks_stored_total"),
 		// Mux depth/stall accounting: streams dispatched, streams the
 		// server had to reset, response writers blocked on client
 		// flow-control credit, and current concurrent streams.
@@ -296,6 +300,11 @@ func (s *Server) dispatchBatch(ctx context.Context, req request, scratch *[]byte
 		}
 		s.m.batchBlocks.Add(int64(len(entries)))
 		errs := s.putEntries(ctx, req.segment, entries)
+		for _, err := range errs {
+			if err == nil {
+				s.m.blocksStored.Inc()
+			}
+		}
 		return statusOK, appendStatusEntries(scratch, entryIndices(entries), errs)
 	case opDeleteBatch:
 		indices, err := decodeIndices(req.payload)
@@ -451,6 +460,7 @@ func (s *Server) dispatch(ctx context.Context, req request) (status byte, payloa
 		if err := s.store.Put(ctx, req.segment, req.index, req.payload); err != nil {
 			return statusErr, []byte(err.Error())
 		}
+		s.m.blocksStored.Inc()
 		return statusOK, nil
 	case opGet:
 		b, err := s.store.Get(ctx, req.segment, req.index)

@@ -22,10 +22,13 @@
 #      fault-injection scenarios (stalls, resets, corruption,
 #      degraded writes, repair promotion) and the self-healing
 #      control plane (kill -> evict -> repair -> rejoin)
-#   8. bench smoke: every benchmark once (client overhead + headline
+#   8. perfbench (the real-stack benchmark module): its own vet and
+#      tests, then a 3 s small-open loopback run that must report
+#      "correct":true — every byte read back matches what was written
+#   9. bench smoke: every benchmark once (client overhead + headline
 #      reproduction metrics; see scripts/bench_baseline.sh for the
 #      committed BENCH_10.json baseline)
-#   9. benchdiff: regenerate the baseline into /tmp and diff it
+#  10. benchdiff: regenerate the baseline into /tmp and diff it
 #      against the committed BENCH_10.json with cmd/benchdiff
 #      (per-metric tolerances, non-zero exit on regression)
 set -euo pipefail
@@ -78,6 +81,15 @@ echo "==> chaos suite under -race"
 go test -race -count=1 -timeout 10m -run 'TestChaos' \
     ./internal/robust/ \
     ./internal/metadata/replica/
+
+echo "==> perfbench module: vet, tests, 3 s real-stack smoke"
+(cd perfbench && go vet ./... && go test ./...)
+smoke=$(bash perfbench/run.sh --workload small-open --seconds 3 | tail -n 1)
+echo "$smoke"
+case "$smoke" in
+    *'"correct":true'*) ;;
+    *) echo "perfbench smoke run did not report correct:true" >&2; exit 1 ;;
+esac
 
 echo "==> bench smoke (client overhead + headline metrics, 1 iteration)"
 go test -bench . -benchtime 1x -run '^$' ./internal/robust/
