@@ -45,21 +45,19 @@ type Store interface {
 	Close() error
 }
 
-// BatchPut is one entry of a batched put: a coded block and its
-// index within the segment.
+// BatchPut is one entry of a multi-block put (Streamer.PutStream,
+// Batcher.PutBatch): a coded block and its index within the segment.
 type BatchPut struct {
 	Index int
 	Data  []byte
 }
 
-// Batcher is implemented by stores that can move many blocks per
-// call: transport.Client maps it onto the batch wire ops (many
-// blocks per round trip), MemStore onto a single lock crossing and
-// one backing allocation per batch. Every method returns a slice of
-// per-entry errors parallel to its input — one bad block never fails
-// the batch, and a store-wide failure fills every slot. The robust
-// client's read/write/delete paths use the fast path when a store
-// offers it and fall back to single-block loops otherwise.
+// Batcher is the collect-all form of Streamer: every method returns
+// a slice of per-entry errors parallel to its input, so one bad block
+// never fails the batch. transport.Client implements it as thin
+// wrappers that gather PutStream/GetStream results and send DELETE's
+// index list; nothing on the robust data path calls it, it remains
+// for callers (and wrapper types) that want whole-batch results.
 //
 // Like Put, PutBatch must not retain entry data after it returns.
 type Batcher interface {

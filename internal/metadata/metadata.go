@@ -189,6 +189,11 @@ var (
 	// caller must not blindly re-issue a non-idempotent operation; it
 	// should read back the record to learn what happened.
 	ErrAmbiguous = errors.New("metadata: operation result unknown")
+	// ErrNoQuorum is returned by a replicated metadata node whose
+	// read-index round could not confirm its leadership with a
+	// majority (typically mid-election). Nothing was executed, so the
+	// caller may retry any op.
+	ErrNoQuorum = errors.New("metadata: no quorum")
 )
 
 // NotLeaderError reports that the contacted replica is not the group

@@ -66,6 +66,7 @@ const (
 	errKindNoServer  = "no-server"
 	errKindNotLeader = "not-leader"
 	errKindAmbiguous = "ambiguous"
+	errKindNoQuorum  = "no-quorum"
 )
 
 func kindOf(err error) string {
@@ -80,6 +81,8 @@ func kindOf(err error) string {
 		return errKindNotLeader
 	case errors.Is(err, ErrAmbiguous):
 		return errKindAmbiguous
+	case errors.Is(err, ErrNoQuorum):
+		return errKindNoQuorum
 	default:
 		return ""
 	}
@@ -97,6 +100,8 @@ func errOfKind(kind, msg, leader string) error {
 		return &NotLeaderError{Leader: leader}
 	case errKindAmbiguous:
 		return fmt.Errorf("%w: %s", ErrAmbiguous, msg)
+	case errKindNoQuorum:
+		return ErrNoQuorum
 	default:
 		return errors.New(msg)
 	}
@@ -639,7 +644,9 @@ func (c *RemoteClient) call(req *wireRequest) (wireResponse, error) {
 // Retry rules:
 //   - A not-leader rejection executed nothing, so every op — even a
 //     write — may safely chase the hint (bounded by maxRedirects) or,
-//     hintless mid-election, back off and retry.
+//     hintless mid-election, back off and retry. A no-quorum answer
+//     (a read barrier that could not confirm leadership, also
+//     mid-election) executed nothing either and retries the same way.
 //   - A transport error is retried only when the request never left
 //     this process (dial failure) or the op is idempotent; an
 //     in-flight write whose connection died may have executed, and
@@ -661,19 +668,20 @@ func (c *RemoteClient) callAddr(req *wireRequest) (wireResponse, string, error) 
 					c.setLeaderHint(resp.Leader)
 					continue
 				}
-				if resp.Leader == "" && attempt < c.opts.MaxRetries {
-					// Mid-election: rotate and wait for a winner.
-					if c.noteFailure(addr) {
-						c.failovers.Inc()
-					}
-					attempt++
-					c.retries.Inc()
-					if berr := transport.BackoffFullJitter(context.Background(), attempt-1,
-						c.opts.RetryBaseDelay, c.opts.RetryMaxDelay); berr != nil {
-						return wireResponse{}, addr, berr
-					}
-					continue
+			}
+			hintless := resp.ErrKind == errKindNotLeader && resp.Leader == ""
+			if (hintless || resp.ErrKind == errKindNoQuorum) && attempt < c.opts.MaxRetries {
+				// Mid-election: rotate and wait for a winner.
+				if c.noteFailure(addr) {
+					c.failovers.Inc()
 				}
+				attempt++
+				c.retries.Inc()
+				if berr := transport.BackoffFullJitter(context.Background(), attempt-1,
+					c.opts.RetryBaseDelay, c.opts.RetryMaxDelay); berr != nil {
+					return wireResponse{}, addr, berr
+				}
+				continue
 			}
 			return resp, addr, errOfKind(resp.ErrKind, resp.Error, resp.Leader)
 		}

@@ -442,3 +442,51 @@ func TestRemoteClientDeleteNotRetriedMidFlight(t *testing.T) {
 		t.Fatalf("segment vanished without reaching the service: %v", err)
 	}
 }
+
+// quorumlessStub answers its first failing lookups the way a replica
+// whose read-index round found no quorum does, then serves normally.
+type quorumlessStub struct {
+	*Service
+	mu      sync.Mutex
+	failing int
+}
+
+func (q *quorumlessStub) LookupSegment(name string) (Segment, error) {
+	q.mu.Lock()
+	fail := q.failing > 0
+	if fail {
+		q.failing--
+	}
+	q.mu.Unlock()
+	if fail {
+		return Segment{}, ErrNoQuorum
+	}
+	return q.Service.LookupSegment(name)
+}
+
+// TestRemoteClientRetriesNoQuorum: a read barrier that finds no quorum
+// mid-election executed nothing, so the failover client rotates,
+// backs off and retries it within MaxRetries instead of failing the
+// op; past the budget the error keeps its kind across the wire.
+func TestRemoteClientRetriesNoQuorum(t *testing.T) {
+	stub := &quorumlessStub{Service: NewService(), failing: 1}
+	if err := stub.CreateSegment(validSegment("seg")); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := serveAPI(t, stub)
+	client, err := DialRemoteMulti([]string{addr}, fastRemoteOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.LookupSegment("seg"); err != nil {
+		t.Fatalf("lookup after one no-quorum round = %v, want success", err)
+	}
+
+	stub.mu.Lock()
+	stub.failing = fastRemoteOptions().MaxRetries + 1
+	stub.mu.Unlock()
+	if _, err := client.LookupSegment("seg"); !errors.Is(err, ErrNoQuorum) {
+		t.Fatalf("lookup with no quorum past the retry budget = %v, want ErrNoQuorum", err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -156,6 +157,21 @@ func reserveAddr(t *testing.T) string {
 	return addr
 }
 
+// listenRetry binds addr, retrying "address already in use" for a
+// bounded time: a member's address is fixed, so a restart must re-bind
+// the port it (or reserveAddr) just released, and the kernel may still
+// hold it briefly, or another process may have taken it for a moment.
+func listenRetry(addr string) (net.Listener, error) {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ln, err := net.Listen("tcp", addr)
+		if err == nil || !errors.Is(err, syscall.EADDRINUSE) || time.Now().After(deadline) {
+			return ln, err
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 func (c *cluster) peer(id int) Peer {
 	for _, p := range c.peers {
 		if p.ID == id {
@@ -196,7 +212,7 @@ func (c *cluster) start(id int) *clusterNode {
 	if err != nil {
 		c.t.Fatalf("open node %d: %v", id, err)
 	}
-	raftLn, err := net.Listen("tcp", self.RaftAddr)
+	raftLn, err := listenRetry(self.RaftAddr)
 	if err != nil {
 		node.Close()
 		c.t.Fatalf("raft listen %d: %v", id, err)
@@ -209,7 +225,7 @@ func (c *cluster) start(id int) *clusterNode {
 		c.t.Fatalf("serve node %d: %v", id, err)
 	}
 	srv := metadata.NewNetworkServerFor(node)
-	clientLn, err := net.Listen("tcp", self.ClientAddr)
+	clientLn, err := listenRetry(self.ClientAddr)
 	if err != nil {
 		srv.Close()
 		node.Close()

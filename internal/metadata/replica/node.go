@@ -25,8 +25,10 @@ var (
 	// must treat the operation as unacknowledged.
 	ErrLeadershipLost = errors.New("replica: leadership lost before commit (result unknown)")
 	// ErrNoQuorum is returned when a read-index round cannot confirm
-	// leadership with a majority.
-	ErrNoQuorum = errors.New("replica: no quorum")
+	// leadership with a majority. It is the metadata sentinel, so the
+	// error keeps its kind across the metadata wire and failover
+	// clients retry it.
+	ErrNoQuorum = metadata.ErrNoQuorum
 )
 
 // Peer identifies one group member: a consensus (raft) address the

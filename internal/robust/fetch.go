@@ -120,18 +120,11 @@ func (f *fetcher) hedgeDelay() time.Duration {
 	return d
 }
 
-// getVerified performs one share fetch attempt with CRC verification
-// and a single refetch on corruption: transit corruption is usually
+// verify opens a fetched share's CRC envelope, refetching it once
+// from the same holder on a mismatch: transit corruption is usually
 // transient, disk corruption is not — one retry tells them apart
 // without letting a rotten server stall the read.
-func (f *fetcher) getVerified(ctx context.Context, addr string, store storeGetter, idx int) ([]byte, error) {
-	start := time.Now()
-	payload, err := store.Get(ctx, f.name, idx)
-	f.c.reportOutcome(addr, err)
-	if err != nil {
-		return nil, err
-	}
-	f.tracker.add(time.Since(start))
+func (f *fetcher) verify(ctx context.Context, src backend, idx int, payload []byte) ([]byte, error) {
 	if !f.sealed {
 		return payload, nil
 	}
@@ -141,236 +134,20 @@ func (f *fetcher) getVerified(ctx context.Context, addr string, store storeGette
 	}
 	f.corrupt.Add(1)
 	f.c.m.readCorruptShares.Inc()
-	// Refetch once.
-	payload, gerr := store.Get(ctx, f.name, idx)
-	f.c.reportOutcome(addr, gerr)
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, errors.Join(err, cerr)
+	}
+	payload, gerr := src.Get(ctx, f.name, idx)
 	if gerr != nil {
 		return nil, errors.Join(err, gerr)
 	}
-	data, err2 := openShare(payload)
-	if err2 != nil {
+	data, err = openShare(payload)
+	if err != nil {
 		f.corrupt.Add(1)
 		f.c.m.readCorruptShares.Inc()
-		return nil, err2
+		return nil, err
 	}
 	return data, nil
-}
-
-// batchGetter is the batched read-path slice of blockstore.Batcher.
-type batchGetter interface {
-	GetBatch(ctx context.Context, segment string, indices []int) ([][]byte, []error)
-}
-
-// getBatchVerified fetches a window of shares in one round trip and
-// verifies every entry's envelope, refetching corrupt entries once
-// through the single-block op (transit corruption is usually
-// transient, disk corruption is not). errs[i] is each entry's final
-// outcome; datas[i] is nil whenever errs[i] is set.
-func (f *fetcher) getBatchVerified(ctx context.Context, addr string, bg batchGetter, store storeGetter, indices []int) ([][]byte, []error) {
-	start := time.Now()
-	datas, errs := bg.GetBatch(ctx, f.name, indices)
-	outcome := f.c.batchOutcome(errs)
-	f.c.reportOutcome(addr, outcome)
-	if outcome == nil {
-		// The tracker learns batch round-trip times here, so the hedge
-		// delay self-calibrates to window latency, not share latency.
-		f.tracker.add(time.Since(start))
-	}
-	for i := range datas {
-		if errs[i] != nil {
-			datas[i] = nil
-			continue
-		}
-		if !f.sealed {
-			continue
-		}
-		data, err := openShare(datas[i])
-		if err == nil {
-			datas[i] = data
-			continue
-		}
-		f.corrupt.Add(1)
-		f.c.m.readCorruptShares.Inc()
-		// Verification above is pure in-memory work and still counts
-		// after cancellation (the drain path reads these stats); only
-		// the refetch round trip is skipped once the read is done.
-		if cerr := ctx.Err(); cerr != nil {
-			datas[i], errs[i] = nil, errors.Join(err, cerr)
-			continue
-		}
-		payload, gerr := store.Get(ctx, f.name, indices[i])
-		f.c.reportOutcome(addr, gerr)
-		if gerr != nil {
-			datas[i], errs[i] = nil, errors.Join(err, gerr)
-			continue
-		}
-		data, err2 := openShare(payload)
-		if err2 != nil {
-			f.corrupt.Add(1)
-			f.c.m.readCorruptShares.Inc()
-			datas[i], errs[i] = nil, err2
-			continue
-		}
-		datas[i] = data
-	}
-	return datas, errs
-}
-
-// batchFrom fetches a window from a holder that may or may not offer
-// the batch fast path (a hedge target can be an old server).
-func (f *fetcher) batchFrom(ctx context.Context, addr string, store storeGetter, indices []int) ([][]byte, []error) {
-	if bg, ok := store.(batchGetter); ok {
-		return f.getBatchVerified(ctx, addr, bg, store, indices)
-	}
-	datas := make([][]byte, len(indices))
-	errs := make([]error, len(indices))
-	for i, idx := range indices {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			continue
-		}
-		datas[i], errs[i] = f.getVerified(ctx, addr, store, idx)
-	}
-	return datas, errs
-}
-
-// deliverWindow hands a window's successful entries to deliver and
-// returns the failure count — zero when the read was canceled, since
-// a canceled fetch says nothing about the holder.
-func deliverWindow(ctx context.Context, indices []int, datas [][]byte, errs []error, deliver func(int, []byte)) int {
-	failed := 0
-	for i := range indices {
-		if errs[i] != nil {
-			failed++
-			continue
-		}
-		deliver(indices[i], datas[i])
-	}
-	if ctx.Err() != nil {
-		return 0
-	}
-	return failed
-}
-
-// fetchBatch retrieves a window of shares from one holder, delivering
-// each verified payload and returning how many shares failed. Stores
-// without the batch fast path keep the per-share pipeline (including
-// per-share hedging). Batch windows hedge at window granularity: when
-// the primary batch outlives the p99-ish trigger the whole remaining
-// window is promoted to the alternate holder, the first responder
-// wins, and the loser fills any entries the winner missed.
-func (f *fetcher) fetchBatch(ctx context.Context, addr string, store storeGetter, indices []int, deliver func(int, []byte)) int {
-	bg, ok := store.(batchGetter)
-	if !ok || len(indices) == 1 {
-		failed := 0
-		for _, idx := range indices {
-			payload, err := f.fetch(ctx, addr, store, idx)
-			if err != nil {
-				if ctx.Err() != nil {
-					return failed
-				}
-				failed++
-				continue
-			}
-			deliver(idx, payload)
-		}
-		return failed
-	}
-	if !f.hedge {
-		datas, errs := f.getBatchVerified(ctx, addr, bg, store, indices)
-		return deliverWindow(ctx, indices, datas, errs, deliver)
-	}
-	type batchRes struct {
-		datas  [][]byte
-		errs   []error
-		hedged bool
-	}
-	res := make(chan batchRes, 2)
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	go func() {
-		datas, errs := f.getBatchVerified(pctx, addr, bg, store, indices)
-		res <- batchRes{datas, errs, false}
-	}()
-	timer := time.NewTimer(f.hedgeDelay())
-	defer timer.Stop()
-	var (
-		winner    batchRes
-		gotWinner bool
-		scancel   context.CancelFunc
-	)
-	select {
-	case winner = <-res:
-		gotWinner = true
-	case <-ctx.Done():
-	case <-timer.C:
-	}
-	outstanding := 1
-	if gotWinner {
-		outstanding--
-	}
-	if !gotWinner && ctx.Err() == nil {
-		// Primary is slow: promote the whole remaining window.
-		f.hedges.Add(1)
-		f.c.m.readHedges.Inc()
-		var sctx context.Context
-		sctx, scancel = context.WithCancel(ctx)
-		defer scancel()
-		haddr, hstore := f.altStore(addr, indices[0], store)
-		outstanding++
-		go func() {
-			datas, errs := f.batchFrom(sctx, haddr, hstore, indices)
-			res <- batchRes{datas, errs, true}
-		}()
-		select {
-		case winner = <-res:
-			gotWinner = true
-			outstanding--
-		case <-ctx.Done():
-		}
-		if gotWinner {
-			if winner.hedged {
-				f.hedgeWins.Add(1)
-				f.c.m.readHedgeWins.Inc()
-			} else {
-				f.c.m.readHedgeLosses.Inc()
-			}
-		}
-	}
-	if !gotWinner {
-		// Canceled before any response: join the in-flight calls.
-		pcancel()
-		if scancel != nil {
-			scancel()
-		}
-		for ; outstanding > 0; outstanding-- {
-			<-res
-		}
-		return 0
-	}
-	if outstanding > 0 {
-		anyFailed := false
-		for _, e := range winner.errs {
-			if e != nil {
-				anyFailed = true
-				break
-			}
-		}
-		if anyFailed {
-			// Let the loser fill the entries the winner missed.
-			loser := <-res
-			for i := range indices {
-				if winner.errs[i] != nil && loser.errs[i] == nil {
-					winner.datas[i], winner.errs[i] = loser.datas[i], nil
-				}
-			}
-		} else {
-			pcancel()
-			scancel()
-			<-res // drain the loser
-		}
-	}
-	return deliverWindow(ctx, indices, winner.datas, winner.errs, deliver)
 }
 
 // serverStates returns the registry's lifecycle states, fetched once
@@ -391,100 +168,29 @@ func (f *fetcher) serverStates() map[string]metadata.ServerState {
 // placement has one — preferring Active holders, since a Draining
 // server is being evacuated and a Removed one is on its way out of
 // the placement entirely; otherwise the hedge goes back to the same
-// store, where a fresh connection from the pool dodges per-connection
-// stalls.
-func (f *fetcher) altStore(primaryAddr string, idx int, primary storeGetter) (string, storeGetter) {
+// holder on fresh streams, which dodges per-stream stalls.
+func (f *fetcher) altStore(primaryAddr string, idx int, primary backend) (string, backend) {
 	states := f.serverStates()
 	var fallbackAddr string
-	var fallback storeGetter
+	var fallback backend
+	found := false
 	for _, addr := range f.holders[idx] {
 		if addr == primaryAddr || f.c.excluded(addr) {
 			continue
 		}
-		st, ok := f.c.store(addr)
+		b, ok := f.c.backend(addr)
 		if !ok {
 			continue
 		}
 		if states[addr] == "" || states[addr] == metadata.ServerActive {
-			return addr, st
+			return addr, b
 		}
-		if fallback == nil {
-			fallbackAddr, fallback = addr, st
+		if !found {
+			fallbackAddr, fallback, found = addr, b, true
 		}
 	}
-	if fallback != nil {
+	if found {
 		return fallbackAddr, fallback
 	}
 	return primaryAddr, primary
-}
-
-// fetch retrieves one share, hedging the request once its latency
-// crosses the p99-ish trigger: the hedge races the original, first
-// answer wins, the loser is canceled and drained.
-func (f *fetcher) fetch(ctx context.Context, addr string, store storeGetter, idx int) ([]byte, error) {
-	if !f.hedge {
-		return f.getVerified(ctx, addr, store, idx)
-	}
-	type result struct {
-		data   []byte
-		err    error
-		hedged bool
-	}
-	res := make(chan result, 2)
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	go func() {
-		data, err := f.getVerified(pctx, addr, store, idx)
-		res <- result{data, err, false}
-	}()
-	timer := time.NewTimer(f.hedgeDelay())
-	defer timer.Stop()
-	select {
-	case r := <-res:
-		return r.data, r.err
-	case <-ctx.Done():
-		pcancel()
-		<-res // join the worker; Get returns promptly once canceled
-		return nil, ctx.Err()
-	case <-timer.C:
-	}
-	// Primary is slow: launch the hedge.
-	f.hedges.Add(1)
-	f.c.m.readHedges.Inc()
-	sctx, scancel := context.WithCancel(ctx)
-	defer scancel()
-	haddr, hstore := f.altStore(addr, idx, store)
-	go func() {
-		data, err := f.getVerified(sctx, haddr, hstore, idx)
-		res <- result{data, err, true}
-	}()
-	first := <-res
-	if first.err == nil {
-		pcancel()
-		scancel()
-		<-res // drain the loser
-		if first.hedged {
-			f.hedgeWins.Add(1)
-			f.c.m.readHedgeWins.Inc()
-		} else {
-			f.c.m.readHedgeLosses.Inc()
-		}
-		return first.data, nil
-	}
-	second := <-res
-	if second.err == nil {
-		if second.hedged {
-			f.hedgeWins.Add(1)
-			f.c.m.readHedgeWins.Inc()
-		} else {
-			f.c.m.readHedgeLosses.Inc()
-		}
-		return second.data, nil
-	}
-	// Both failed; prefer the more informative (non-cancellation)
-	// error.
-	if errors.Is(first.err, context.Canceled) {
-		return nil, second.err
-	}
-	return nil, first.err
 }

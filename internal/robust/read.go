@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/blockstore"
 	"repro/internal/ltcode"
 )
 
@@ -76,10 +75,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	window := c.opts.BatchBlocks
-	if window < 1 {
-		window = 1
-	}
+	window := batchBlocks
 	var (
 		wg     sync.WaitGroup
 		failed atomic.Int64
@@ -93,10 +89,10 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 	// all attached ones: a read against suspect servers can still
 	// succeed (and its outcomes refresh the detector), a read against
 	// nobody cannot.
-	targets := make(map[string]blockstore.Store, len(seg.Placement))
-	skipped := make(map[string]blockstore.Store)
+	targets := make(map[string]backend, len(seg.Placement))
+	skipped := make(map[string]backend)
 	for addr := range seg.Placement {
-		store, ok := c.store(addr)
+		store, ok := c.backend(addr)
 		if !ok {
 			continue // server gone; speculative access shrugs
 		}
@@ -167,10 +163,11 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 			continue
 		}
 		// Split the server's block list among its worker pipelines;
-		// each pipeline walks its share of the list in batch windows.
+		// each pipeline walks its share of the list in windows, one
+		// GetStream call each.
 		for w := 0; w < c.opts.PerServerParallel; w++ {
 			wg.Add(1)
-			go func(addr string, store storeGetter, mine []int) {
+			go func(addr string, store backend, mine []int) {
 				defer wg.Done()
 				deliver := func(idx int, payload []byte) {
 					if !firstByte.Swap(true) {
@@ -181,6 +178,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 					case <-rctx.Done():
 					}
 				}
+				wf := fx.newWindowFetcher(rctx, addr, store, deliver)
 				for lo := 0; lo < len(mine); lo += window {
 					if rctx.Err() != nil {
 						return
@@ -196,7 +194,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 					if hi > len(mine) {
 						hi = len(mine)
 					}
-					failed.Add(int64(fx.fetchWindow(rctx, addr, store, mine[lo:hi], deliver)))
+					failed.Add(int64(wf.fetch(mine[lo:hi])))
 				}
 			}(addr, store, stripeSlice(indices, w, c.opts.PerServerParallel))
 		}
@@ -266,11 +264,6 @@ func decodeDest(chunk []byte, k int, blockBytes int64) ([][]byte, []decodeTail) 
 		}
 	}
 	return dst, tails
-}
-
-// storeGetter is the read-path slice of blockstore.Store.
-type storeGetter interface {
-	Get(ctx context.Context, segment string, index int) ([]byte, error)
 }
 
 // stripeSlice deals element i of xs to worker i mod workers.

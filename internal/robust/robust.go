@@ -52,9 +52,11 @@ type Options struct {
 	// LTC and LTDelta are the robust-soliton parameters (default 1.0
 	// and 0.1: ~0.3-0.5 reception overhead, per §5.2.4).
 	LTC, LTDelta float64
-	// PerServerParallel is the number of outstanding requests kept per
-	// server during reads and writes (default 2: one in flight, one
-	// queued — a disk pipeline).
+	// PerServerParallel is the number of worker pipelines per server
+	// during reads and writes (default 2: one in flight, one queued —
+	// a disk pipeline). Each keeps one write run (up to 16 blocks, one
+	// PutStream) or one read window (16 shares, one GetStream) in
+	// flight.
 	PerServerParallel int
 	// GraphSlack is the number of extra coded blocks generated per
 	// server beyond N, bounding rateless-write overshoot (default 4).
@@ -78,27 +80,19 @@ type Options struct {
 	// zone.
 	MaxZoneShare float64
 	// HedgeReads enables hedged block fetches (§2.2.3/§6: speculative
-	// access masks stragglers): when a share request has been
-	// outstanding for a p99-ish delay, a second request for the same
-	// share is issued — to another holder when the placement has one,
-	// otherwise to the same server over a fresh connection (which
-	// dodges per-connection stalls). First answer wins; the loser is
-	// canceled.
+	// access masks stragglers): when a read window has been
+	// outstanding for a p99-ish delay, its undelivered shares are
+	// requested again — from another holder when the placement has
+	// one, otherwise from the same server on fresh streams (which
+	// dodges per-stream stalls). The first copy of each share wins;
+	// the primary's remaining requests are canceled once the hedge
+	// covered them.
 	HedgeReads bool
 	// HedgeDelay fixes the hedge trigger delay. Zero (the default)
 	// adapts: the delay tracks the p99 of this access's completed
-	// share fetches, clamped to [1ms, 2s], starting at 30ms before
+	// window fetches, clamped to [1ms, 2s], starting at 30ms before
 	// any sample exists.
 	HedgeDelay time.Duration
-	// BatchBlocks is the number of coded blocks moved per backend
-	// round trip on the hot paths when a store offers the batch fast
-	// path (blockstore.Batcher): write workers claim runs of
-	// BatchBlocks indices and ship each run as one batched put, and
-	// readers fetch windows of BatchBlocks shares per holder (a hedge
-	// promotes the whole remaining window to the alternate holder).
-	// Stores without the fast path keep the per-block pipelines.
-	// 1 disables batching; default 16.
-	BatchBlocks int
 	// DegradedWrites enables graceful degradation: a write that
 	// cannot commit the full target N (servers unreachable) still
 	// succeeds once it has committed at least the degraded floor
@@ -169,9 +163,6 @@ func (o Options) withDefaults() Options {
 	if o.DegradedFloor == 0 {
 		o.DegradedFloor = 0.75
 	}
-	if o.BatchBlocks == 0 {
-		o.BatchBlocks = 16
-	}
 	return o
 }
 
@@ -227,7 +218,7 @@ type Client struct {
 	health HealthTracker
 
 	mu     sync.RWMutex
-	stores map[string]blockstore.Store
+	stores map[string]backend
 
 	graphMu sync.Mutex
 	graphs  map[graphKey]*ltcode.Graph
@@ -247,7 +238,7 @@ func NewClient(meta metadata.API, opts Options) (*Client, error) {
 		obs:    opts.Obs,
 		m:      newClientMetrics(opts.Obs),
 		health: opts.Health,
-		stores: make(map[string]blockstore.Store),
+		stores: make(map[string]backend),
 		graphs: make(map[graphKey]*ltcode.Graph),
 	}, nil
 }
@@ -262,10 +253,38 @@ func (c *Client) AttachStore(addr string, store blockstore.Store) error {
 	if addr == "" || store == nil {
 		return fmt.Errorf("robust: AttachStore needs an address and a store")
 	}
+	b := backend{Store: store, stream: blockstore.StreamOf(store), run: batchBlocks}
+	if _, native := store.(blockstore.Streamer); !native {
+		b.run = 1
+	}
+	b.deleteMany, _ = store.(batchDeleter)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stores[addr] = store
+	c.stores[addr] = b
 	return nil
+}
+
+// batchBlocks is the most coded blocks a write worker claims per run
+// (one PutStream call) and the number a read worker fetches per window
+// (one GetStream call). Runs are further clamped to the outstanding
+// commit need, so they never claim blocks nobody has to store.
+const batchBlocks = 16
+
+// backend is one attached store with its streaming shape resolved
+// once, at attach time, so the data path makes no type assertions:
+// writes go through stream.PutStream, reads through stream.GetStream.
+type backend struct {
+	blockstore.Store
+	stream blockstore.Streamer
+	// run is the most indices a write worker claims per PutStream:
+	// batchBlocks when the store streams natively (a run is one round
+	// trip or one lock crossing), 1 for a plain store, whose adapter
+	// would only serialize the run's Puts while every claimed index
+	// waits behind the first slow or failing one.
+	run int
+	// deleteMany is the store's one-call multi-block delete, nil when
+	// it deletes one block per call.
+	deleteMany batchDeleter
 }
 
 // DetachStore removes a backend (its blocks become unreachable; reads
@@ -289,10 +308,15 @@ func (c *Client) Servers() []string {
 }
 
 func (c *Client) store(addr string) (blockstore.Store, bool) {
+	b, ok := c.backend(addr)
+	return b.Store, ok
+}
+
+func (c *Client) backend(addr string) (backend, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	s, ok := c.stores[addr]
-	return s, ok
+	b, ok := c.stores[addr]
+	return b, ok
 }
 
 // reportOutcome feeds one request outcome to the failure detector. A

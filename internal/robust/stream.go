@@ -4,207 +4,188 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// streamGetter is the stream-fed read-path fast path: fetch many
-// blocks concurrently over one multiplexed connection, delivering
-// each the moment its frames complete — out of order, which is
-// exactly what the peeling decoder wants. transport.Client implements
-// it over mux streams; deliver may be called from multiple
-// goroutines. An implementation that cannot stream right now (legacy
-// peer, upgrade refused) returns an error without delivering
-// anything, and the fetcher falls back to batch windows.
-type streamGetter interface {
-	GetStream(ctx context.Context, segment string, indices []int, deliver func(index int, data []byte, err error)) error
+// windowFetcher is one read worker's window fetch: it walks the
+// worker's share of a holder's blocks one window (one GetStream call)
+// at a time, and its per-window state is reused across windows — a
+// fetch is finished, hedge and primary joined, before the next starts.
+type windowFetcher struct {
+	f       *fetcher
+	ctx     context.Context
+	addr    string
+	b       backend
+	deliver func(int, []byte)
+	// fromPrimary is the primary GetStream's delivery callback, built
+	// once per worker.
+	fromPrimary func(idx int, payload []byte, err error)
+
+	mu      sync.Mutex
+	indices []int
+	done    []bool  // per position: a copy was delivered
+	errs    []error // per position: the primary holder's failure
 }
 
-// fetchWindow retrieves one window of shares from a holder, streaming
-// them into the decoder as they arrive when the holder supports it
-// and falling back to the batch (or single-op) pipeline when not.
-func (f *fetcher) fetchWindow(ctx context.Context, addr string, store storeGetter, indices []int, deliver func(int, []byte)) int {
-	if sg, ok := store.(streamGetter); ok && len(indices) > 1 {
-		if failed, streamed := f.fetchStream(ctx, addr, sg, store, indices, deliver); streamed {
-			return failed
+func (f *fetcher) newWindowFetcher(ctx context.Context, addr string, b backend, deliver func(int, []byte)) *windowFetcher {
+	w := &windowFetcher{f: f, ctx: ctx, addr: addr, b: b, deliver: deliver,
+		done: make([]bool, 0, batchBlocks), errs: make([]error, 0, batchBlocks)}
+	w.fromPrimary = func(idx int, payload []byte, err error) { w.accept(w.b, true, idx, payload, err) }
+	return w
+}
+
+// accept verifies one share fetched from src and hands it over,
+// reporting whether it was the first copy. Duplicates (a hedge winner
+// racing a late stream) are dropped here so downstream accounting
+// stays exact even though the decoder would also tolerate them. Only
+// the primary holder's failures are recorded; the hedge reports its
+// own outcome.
+func (w *windowFetcher) accept(src backend, primary bool, idx int, payload []byte, err error) bool {
+	if err == nil {
+		payload, err = w.f.verify(w.ctx, src, idx, payload)
+	}
+	i := -1
+	for j, x := range w.indices { // windows are small
+		if x == idx {
+			i = j
+			break
 		}
 	}
-	return f.fetchBatch(ctx, addr, store, indices, deliver)
+	w.mu.Lock()
+	if i < 0 || w.done[i] {
+		w.mu.Unlock()
+		return false
+	}
+	if err != nil {
+		if primary {
+			w.errs[i] = err
+		}
+		w.mu.Unlock()
+		return false
+	}
+	w.done[i] = true
+	w.errs[i] = nil
+	w.mu.Unlock()
+	w.deliver(idx, payload)
+	return true
 }
 
-// fetchStream is the stream-fed window fetch: every index rides its
-// own mux stream, each verified share is delivered the moment its
-// response completes (no batch-window barrier between the wire and
-// the decoder), and the usual hedge promotion covers whatever is
-// still outstanding when the p99-ish trigger fires. Returns
-// streamed=false — nothing delivered, caller must fall back — when
-// the holder cannot stream.
-func (f *fetcher) fetchStream(ctx context.Context, addr string, sg streamGetter, store storeGetter, indices []int, deliver func(int, []byte)) (int, bool) {
+// fetch retrieves one window of shares through the holder's
+// GetStream: every index is fetched concurrently, each verified share
+// is delivered the moment it arrives (no window barrier between the
+// wire and the decoder), and when the p99-ish hedge trigger fires the
+// shares still outstanding are promoted to an alternate holder's
+// GetStream — the first copy of each share wins. Returns how many of
+// the window's shares were not delivered; zero when the read was
+// canceled, since a canceled fetch says nothing about the holder.
+func (w *windowFetcher) fetch(indices []int) int {
+	f, ctx := w.f, w.ctx
 	start := time.Now()
-	var (
-		mu        sync.Mutex
-		done      = make(map[int]bool, len(indices))
-		errByIdx  = make(map[int]error, len(indices))
-		delivered = false
-	)
-	// handle verifies and hands over one share; duplicates (a hedge
-	// winner racing a late stream) are dropped here so downstream
-	// accounting stays exact even though the decoder would also
-	// tolerate them.
-	handle := func(idx int, payload []byte, err error) {
-		if err == nil && f.sealed {
-			var data []byte
-			data, err = openShare(payload)
-			if err != nil {
-				f.corrupt.Add(1)
-				f.c.m.readCorruptShares.Inc()
-				// Refetch once through the single-op path: transit
-				// corruption is usually transient, disk corruption is not.
-				if cerr := ctx.Err(); cerr != nil {
-					err = errors.Join(err, cerr)
-				} else if payload2, gerr := store.Get(ctx, f.name, idx); gerr != nil {
-					err = errors.Join(err, gerr)
-				} else if data2, oerr := openShare(payload2); oerr != nil {
-					f.corrupt.Add(1)
-					f.c.m.readCorruptShares.Inc()
-					err = oerr
-				} else {
-					data, err = data2, nil
-				}
-			}
-			payload = data
-		}
-		mu.Lock()
-		if done[idx] {
-			mu.Unlock()
-			return
-		}
-		if err != nil {
-			errByIdx[idx] = err
-			mu.Unlock()
-			return
-		}
-		done[idx] = true
-		delete(errByIdx, idx)
-		delivered = true
-		mu.Unlock()
-		deliver(idx, payload)
-	}
-
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	primaryDone := make(chan error, 1)
-	go func() { primaryDone <- sg.GetStream(pctx, f.name, indices, handle) }()
-
-	var timerC <-chan time.Time
-	if f.hedge {
+	w.mu.Lock()
+	w.indices = indices
+	w.done = append(w.done[:0], make([]bool, len(indices))...)
+	w.errs = append(w.errs[:0], make([]error, len(indices))...)
+	w.mu.Unlock()
+	var perr error
+	if !f.hedge {
+		perr = w.b.stream.GetStream(ctx, f.name, indices, w.fromPrimary)
+	} else {
+		pctx, pcancel := context.WithCancel(ctx)
+		defer pcancel()
+		primaryDone := make(chan error, 1)
+		go func() { primaryDone <- w.b.stream.GetStream(pctx, f.name, indices, w.fromPrimary) }()
 		timer := time.NewTimer(f.hedgeDelay())
 		defer timer.Stop()
-		timerC = timer.C
-	}
-	var perr error
-	gotPrimary := false
-	select {
-	case perr = <-primaryDone:
-		gotPrimary = true
-	case <-ctx.Done():
-	case <-timerC:
-		// Primary is slow: promote whatever is still outstanding to an
-		// alternate holder (or a fresh path to the same one) as one
-		// batch window, exactly like fetchBatch's promotion.
-		mu.Lock()
-		remaining := make([]int, 0, len(indices))
-		for _, idx := range indices {
-			if !done[idx] {
-				remaining = append(remaining, idx)
-			}
-		}
-		mu.Unlock()
-		if len(remaining) > 0 && ctx.Err() == nil {
-			f.hedges.Add(1)
-			f.c.m.readHedges.Inc()
-			haddr, hstore := f.altStore(addr, remaining[0], store)
-			datas, herrs := f.batchFrom(ctx, haddr, hstore, remaining)
-			hedgeWon := false
-			for i, idx := range remaining {
-				if herrs[i] != nil {
-					continue
-				}
-				mu.Lock()
-				if done[idx] {
-					mu.Unlock()
-					continue
-				}
-				done[idx] = true
-				delete(errByIdx, idx)
-				delivered = true
-				mu.Unlock()
-				deliver(idx, datas[i])
-				hedgeWon = true
-			}
-			if hedgeWon {
-				f.hedgeWins.Add(1)
-				f.c.m.readHedgeWins.Inc()
-			} else {
-				f.c.m.readHedgeLosses.Inc()
-			}
-			mu.Lock()
-			allDone := true
-			for _, idx := range indices {
-				if !done[idx] {
-					allDone = false
-					break
-				}
-			}
-			mu.Unlock()
-			if allDone {
+		select {
+		case perr = <-primaryDone:
+		case <-ctx.Done():
+			pcancel()
+			perr = <-primaryDone
+		case <-timer.C:
+			if w.hedge() {
 				pcancel() // the stragglers are covered; stop their streams
 			}
+			perr = <-primaryDone
 		}
-	}
-	if !gotPrimary {
-		if ctx.Err() != nil {
-			pcancel()
-		}
-		perr = <-primaryDone
 	}
 
-	mu.Lock()
+	// One aggregated health outcome per window: cancellations are no
+	// signal about the holder.
+	w.mu.Lock()
 	failed := 0
-	for _, idx := range indices {
-		if !done[idx] {
-			failed++
+	for i, done := range w.done {
+		if done {
+			continue
+		}
+		failed++
+		switch {
+		case w.errs[i] != nil:
+		case perr != nil:
+			w.errs[i] = perr
+		default:
+			w.errs[i] = errors.New("robust: share not delivered")
 		}
 	}
-	streamedNothing := !delivered
-	mu.Unlock()
-	if perr != nil && streamedNothing && ctx.Err() == nil {
-		// The holder cannot stream (legacy server, mux unavailable):
-		// nothing was delivered, so the caller retries the window over
-		// the batch path with full accounting there.
-		return 0, false
+	f.c.reportOutcome(w.addr, f.c.batchOutcome(w.errs))
+	w.mu.Unlock()
+	if ctx.Err() != nil {
+		return 0
 	}
-	// One aggregated health outcome per window, mirroring the batch
-	// path: cancellations are no signal about the holder.
-	errs := make([]error, 0, len(indices))
-	mu.Lock()
-	for _, idx := range indices {
-		if e, ok := errByIdx[idx]; ok {
-			errs = append(errs, e)
-		} else if !done[idx] {
-			errs = append(errs, errors.New("robust: share not delivered"))
-		} else {
-			errs = append(errs, nil)
-		}
-	}
-	mu.Unlock()
-	f.c.reportOutcome(addr, f.c.batchOutcome(errs))
-	if failed == 0 && ctx.Err() == nil {
-		// The tracker learns whole-window stream times, keeping the
-		// hedge delay calibrated the same way the batch path does.
+	if failed == 0 {
+		// The tracker learns whole-window times, keeping the hedge delay
+		// calibrated to what it races against.
 		f.tracker.add(time.Since(start))
 	}
-	if ctx.Err() != nil {
-		return 0, true
+	return failed
+}
+
+// hedge promotes the window's undelivered shares to an alternate
+// holder (or fresh streams to the same one) once the primary is slow,
+// and reports whether the hedge covered every share.
+func (w *windowFetcher) hedge() (allDone bool) {
+	f := w.f
+	w.mu.Lock()
+	remaining := make([]int, 0, len(w.indices))
+	for i, idx := range w.indices {
+		if !w.done[i] {
+			remaining = append(remaining, idx)
+		}
 	}
-	return failed, true
+	w.mu.Unlock()
+	if len(remaining) == 0 || w.ctx.Err() != nil {
+		return false
+	}
+	f.hedges.Add(1)
+	f.c.m.readHedges.Inc()
+	haddr, hb := f.altStore(w.addr, remaining[0], w.b)
+	var won atomic.Bool
+	var hmu sync.Mutex
+	var herrs []error
+	herr := hb.stream.GetStream(w.ctx, f.name, remaining, func(idx int, payload []byte, err error) {
+		if w.accept(hb, false, idx, payload, err) {
+			won.Store(true)
+		}
+		hmu.Lock()
+		herrs = append(herrs, err)
+		hmu.Unlock()
+	})
+	if won.Load() {
+		f.hedgeWins.Add(1)
+		f.c.m.readHedgeWins.Inc()
+	} else {
+		f.c.m.readHedgeLosses.Inc()
+	}
+	if herr == nil {
+		herr = f.c.batchOutcome(herrs)
+	}
+	f.c.reportOutcome(haddr, herr)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, done := range w.done {
+		if !done {
+			return false
+		}
+	}
+	return true
 }

@@ -409,9 +409,7 @@ func TestStreamingWriteUsesPutStream(t *testing.T) {
 	// the data must round-trip.
 	reg := obs.NewRegistry()
 	meta := metadata.NewService()
-	opts := streamOptions()
-	opts.BatchBlocks = 8
-	c, err := NewClient(meta, opts)
+	c, err := NewClient(meta, streamOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

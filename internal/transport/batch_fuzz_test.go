@@ -3,17 +3,19 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 	"testing/quick"
 )
 
-// Fuzz and property tests for the batch frame codecs (DESIGN.md §10).
-// The decoders face payloads from the network: they must reject
-// oversized and truncated entries, never panic, and never refer to
-// bytes outside the payload they were handed.
+// Fuzz and property tests for the multi-entry codecs (DESIGN.md
+// §10): PUTSTREAM request entries and the per-entry results DELETE
+// and PUTSTREAM acks carry. The decoders face bytes from the network:
+// they must reject oversized and truncated entries, never panic, and
+// never refer to bytes outside what they were handed.
 
-// validPutBatch builds a well-formed PUTBATCH payload.
-func validPutBatch(entries ...[]byte) (int, []byte) {
+// validPutEntries builds a well-formed PUTSTREAM entry body.
+func validPutEntries(entries ...[]byte) (int, []byte) {
 	var buf []byte
 	for i, data := range entries {
 		buf = appendPutEntryHeader(buf, i, len(data))
@@ -22,37 +24,54 @@ func validPutBatch(entries ...[]byte) (int, []byte) {
 	return len(entries), buf
 }
 
+// decodeStreamEntries runs a whole PUTSTREAM entry body through the
+// server's incremental decoder in one final chunk and returns the
+// entries it yields, up to the first error (io.EOF on a clean end).
+func decodeStreamEntries(payload []byte) (idx []int, datas [][]byte, consumed int, err error) {
+	ps := newMuxPutStream("seg", 0, defaultMuxWindow)
+	defer ps.release()
+	if err := ps.feed(payload, true); err != nil {
+		return nil, nil, 0, err
+	}
+	for {
+		i, data, n, err := ps.next()
+		if err != nil {
+			return idx, datas, consumed, err
+		}
+		idx = append(idx, i)
+		datas = append(datas, append([]byte(nil), data...))
+		consumed += n
+		ps.done()
+	}
+}
+
 func FuzzDecodePutEntries(f *testing.F) {
-	// Seeds: valid batches, an oversized declared length, a truncated
-	// entry header, trailing garbage, and a hostile count.
-	count, ok := validPutBatch([]byte("block-a"), []byte(""), []byte("block-c"))
-	f.Add(count, ok)
+	// Seeds: valid entries, an oversized declared length, a truncated
+	// entry, trailing garbage, a header without its data, a negative
+	// index, and empty input.
+	_, ok := validPutEntries([]byte("block-a"), []byte(""), []byte("block-c"))
+	f.Add(ok)
 	oversized := append([]byte(nil), ok...)
 	binary.BigEndian.PutUint32(oversized[4:8], 1<<30) // entry 0 claims 1 GiB
-	f.Add(count, oversized)
-	f.Add(count, ok[:len(ok)-3])                     // truncated final entry
-	f.Add(count, append(ok[:len(ok):len(ok)], 0xFF)) // trailing byte
-	f.Add(1<<30, ok)                                 // count exceeds payload
-	f.Add(-1, ok)                                    // negative count
-	f.Add(2, []byte{})                               // count with empty payload
+	f.Add(oversized)
+	f.Add(ok[:len(ok)-3])                     // truncated final entry
+	f.Add(append(ok[:len(ok):len(ok)], 0xFF)) // trailing byte
+	f.Add(ok[:putEntryOverhead])              // a header with no data
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 1})  // negative index
+	f.Add([]byte{})
 
-	f.Fuzz(func(t *testing.T, count int, payload []byte) {
-		entries, err := decodePutEntries(count, payload)
-		if err != nil {
-			return
-		}
-		if len(entries) != count {
-			t.Fatalf("decoded %d entries, declared %d", len(entries), count)
-		}
-		total := 0
-		for _, e := range entries {
-			if e.index < 0 {
-				t.Fatalf("negative index %d accepted", e.index)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		indices, datas, consumed, err := decodeStreamEntries(payload)
+		for i, idx := range indices {
+			if idx < 0 {
+				t.Fatalf("negative index %d accepted", idx)
 			}
-			total += putBatchEntryOverhead + len(e.data)
+			if len(datas[i]) > len(payload) {
+				t.Fatalf("entry %d has %d bytes from a %d-byte body", i, len(datas[i]), len(payload))
+			}
 		}
-		if total != len(payload) {
-			t.Fatalf("entries cover %d of %d payload bytes", total, len(payload))
+		if err == io.EOF && consumed != len(payload) {
+			t.Fatalf("entries cover %d of %d payload bytes", consumed, len(payload))
 		}
 	})
 }
@@ -88,7 +107,7 @@ func FuzzDecodeBatchResults(f *testing.F) {
 }
 
 // TestQuickPutEntriesRoundTrip checks encode→decode is the identity
-// for all valid PUTBATCH payloads.
+// for all valid PUTSTREAM entry bodies.
 func TestQuickPutEntriesRoundTrip(t *testing.T) {
 	f := func(blocks [][]byte) bool {
 		var buf []byte
@@ -96,12 +115,15 @@ func TestQuickPutEntriesRoundTrip(t *testing.T) {
 			buf = appendPutEntryHeader(buf, i*7, len(data))
 			buf = append(buf, data...)
 		}
-		entries, err := decodePutEntries(len(blocks), buf)
-		if err != nil || len(entries) != len(blocks) {
+		if len(buf) > defaultMuxWindow {
+			return true // more than one window is never in flight at once
+		}
+		indices, datas, consumed, err := decodeStreamEntries(buf)
+		if err != io.EOF || len(indices) != len(blocks) || consumed != len(buf) {
 			return false
 		}
-		for i, e := range entries {
-			if e.index != i*7 || !bytes.Equal(e.data, blocks[i]) {
+		for i := range indices {
+			if indices[i] != i*7 || !bytes.Equal(datas[i], blocks[i]) {
 				return false
 			}
 		}
@@ -112,7 +134,7 @@ func TestQuickPutEntriesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickBatchResultsRoundTrip checks the batch response codec the
+// TestQuickBatchResultsRoundTrip checks the per-entry result codec the
 // same way, cycling through every wire status.
 func TestQuickBatchResultsRoundTrip(t *testing.T) {
 	statuses := []byte{statusOK, statusErr, statusNotFound, statusBusy, statusUnsupported}

@@ -88,9 +88,6 @@ func TestMuxCopyBudget(t *testing.T) {
 		bound   = 1.75 // allocated bytes per payload byte, each direction
 	)
 	client := startMuxPair(t, blockstore.NewMemStore(), ClientOptions{})
-	if client.muxFor(context.Background()) == nil {
-		t.Fatal("mux did not engage after caps probe")
-	}
 	puts := make([]blockstore.BatchPut, entries)
 	indices := make([]int, entries)
 	for i := range puts {
@@ -140,9 +137,6 @@ func TestMuxFrameBufferAliasing(t *testing.T) {
 	mem := blockstore.NewMemStore()
 	client := startMuxPair(t, mem, ClientOptions{MuxConns: 1})
 	ctx := context.Background()
-	if client.muxFor(ctx) == nil {
-		t.Fatal("mux did not engage after caps probe")
-	}
 	// Entry sizes straddle the 128 KiB frame chunking in every way: a
 	// sliver, just under and over one chunk, and several chunks plus a
 	// remainder.
@@ -233,7 +227,7 @@ func TestPutStreamResetReleasesBufferOnce(t *testing.T) {
 	held := buildPutEntries([][]byte{patternBlock(3, 0, 1000), patternBlock(3, 1, 1000)})
 	peer.sendPutStreamReq(3, "held", 2, held, false)
 	half := buildPutEntries([][]byte{patternBlock(5, 0, 1000)})
-	peer.sendPutStreamReq(5, "half", 1, half[:putBatchEntryOverhead+300], false)
+	peer.sendPutStreamReq(5, "half", 1, half[:putEntryOverhead+300], false)
 	awaitPutStreamLeases(t, base+3)
 
 	w := &lockedWriter{w: peer.conn}
@@ -267,7 +261,7 @@ func TestPutStreamResetReleasesBufferOnce(t *testing.T) {
 
 	// release itself is idempotent.
 	ps := newMuxPutStream("seg", 1, defaultMuxWindow)
-	if err := ps.feed(half[:putBatchEntryOverhead+1], false); err != nil {
+	if err := ps.feed(half[:putEntryOverhead+1], false); err != nil {
 		t.Fatal(err)
 	}
 	ps.release()
@@ -289,9 +283,9 @@ func TestPutStreamUnderCredit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	entries := make([][]byte, 400)
 	for i := range entries {
-		n := rng.Intn(window - putBatchEntryOverhead + 1)
+		n := rng.Intn(window - putEntryOverhead + 1)
 		if i%7 == 0 {
-			n = window - putBatchEntryOverhead // a whole window
+			n = window - putEntryOverhead // a whole window
 		}
 		entries[i] = patternBlock(9, i, n)
 	}

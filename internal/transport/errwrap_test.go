@@ -46,11 +46,11 @@ func TestWrapExchangeErrCancellationWins(t *testing.T) {
 	}
 }
 
-// A malformed batch response error must wrap (not flatten) the decode
-// error so callers can still unwrap to the root cause.
+// A malformed DELETE response error must wrap (not flatten) the
+// decode error so callers can still unwrap to the root cause.
 func TestFinishBatchWrapsDecodeError(t *testing.T) {
 	errs := make([]error, 2)
-	(&Client{}).finishBatch(nil, []int{0, 1}, errs, statusOK, []byte{0xff}, nil)
+	finishBatch([]int{0, 1}, errs, statusOK, []byte{0xff})
 	for i, err := range errs {
 		if err == nil {
 			t.Fatalf("errs[%d] = nil, want malformed-response error", i)

@@ -119,11 +119,11 @@ func TestQuickReadFrameBoundedAllocation(t *testing.T) {
 		hdr := make([]byte, 4+rng.Intn(64))
 		rng.Read(hdr)
 		r := bytes.NewReader(hdr)
-		// Must either error or return a body no larger than the
+		// Must either error or return a chunk no larger than the
 		// remaining input.
-		body, err := readFrame(r)
-		if err == nil && len(body) > len(hdr) {
-			t.Fatalf("readFrame conjured %d bytes from %d", len(body), len(hdr))
+		f, err := (&muxReader{r: r}).next()
+		if err == nil && len(f.chunk) > len(hdr) {
+			t.Fatalf("muxReader conjured %d bytes from %d", len(f.chunk), len(hdr))
 		}
 	}
 }

@@ -8,31 +8,24 @@ import (
 	"sync"
 )
 
-// Transport v2: a framed, multiplexed connection (DESIGN.md §12).
+// The multiplexed framing (DESIGN.md §10). Every exchange is its own
+// stream: request IDs, out-of-order responses, chunked bodies so a
+// 16 MB GET never head-of-line-blocks a PING, and per-stream windowed
+// flow control so one slow consumer stalls only its own stream.
 //
-// A v1 connection carries one request/response exchange at a time, so
-// a scrub, a ping, and a read against the same server serialize
-// behind each other even with batch ops. Transport v2 upgrades a
-// connection (negotiated through CAPS + MUXUP, with clean fallback
-// for legacy peers) to a stream-multiplexed framing where every
-// exchange is its own stream: request IDs, out-of-order responses,
-// chunked bodies so a 16 MB GET never head-of-line-blocks a PING, and
-// per-stream windowed flow control so one slow consumer stalls only
-// its own stream.
-//
-// v2 frame layout (all integers big-endian), reusing the v1 outer
-// length prefix:
+// Frame layout (all integers big-endian):
 //
 //	[4B frame length][1B kind][4B stream id][body...]
 //
 // kinds:
 //
-//	REQ    body = [1B flags][chunk]             client→server
-//	RESP   body = [1B flags][1B status][chunk]  server→client
-//	WINDOW body = [4B credit bytes]             either direction
-//	RESET  body = [error text]                  either direction
+//	REQ      body = [1B flags][chunk]             client→server
+//	RESP     body = [1B flags][1B status][chunk]  server→client
+//	WINDOW   body = [4B credit bytes]             either direction
+//	RESET    body = [error text]                  either direction
+//	SETTINGS body = [4B window][4B max streams]   once each way, first
 //
-// The concatenated REQ chunks of a stream form exactly one v1 request
+// The concatenated REQ chunks of a stream form exactly one request
 // body (op, segment, index, payload); the concatenated RESP chunks
 // form the response payload, with the status carried on every RESP
 // frame (the first one wins). flags bit 0 (FIN) marks a stream's last
@@ -52,12 +45,13 @@ type muxFrame struct {
 	chunk  []byte // aliases the decoded frame body
 }
 
-// v2 frame kinds.
+// Frame kinds.
 const (
-	muxKindReq    = byte(1)
-	muxKindResp   = byte(2)
-	muxKindWindow = byte(3)
-	muxKindReset  = byte(4)
+	muxKindReq      = byte(1)
+	muxKindResp     = byte(2)
+	muxKindWindow   = byte(3)
+	muxKindReset    = byte(4)
+	muxKindSettings = byte(5)
 )
 
 // muxFlagFIN marks the last chunk of a stream direction.
@@ -76,7 +70,7 @@ const (
 	muxRespChunkOverhead = 2     // flags + status
 )
 
-// writeMuxFrame writes one v2 frame under the writer's lock as a
+// writeMuxFrame writes one frame under the writer's lock as a
 // single vectored write: length prefix and header from the writer's
 // own scratch, the chunk in place. head is the kind-specific prefix
 // placed between the stream id and the chunk (flags for REQ,
@@ -117,7 +111,7 @@ func muxHeadLen(kind byte) (int, error) {
 		return muxHeaderLen + muxReqChunkOverhead, nil
 	case muxKindResp:
 		return muxHeaderLen + muxRespChunkOverhead, nil
-	case muxKindWindow, muxKindReset:
+	case muxKindWindow, muxKindReset, muxKindSettings:
 		return muxHeaderLen, nil
 	}
 	return 0, fmt.Errorf("transport: unknown mux frame kind %d", kind)
@@ -140,8 +134,8 @@ func parseMuxHead(head []byte) muxFrame {
 }
 
 // setBody completes a frame from the bytes after its fixed header: the
-// chunk of a REQ, RESP or RESET (aliased, not copied), or a WINDOW's
-// credit.
+// chunk of a REQ, RESP, RESET or SETTINGS (aliased, not copied), or a
+// WINDOW's credit.
 func (f *muxFrame) setBody(rest []byte) error {
 	if f.kind != muxKindWindow {
 		f.chunk = rest
@@ -160,7 +154,7 @@ func (f *muxFrame) setBody(rest []byte) error {
 	return nil
 }
 
-// muxReader reads v2 frames off one connection into a single body
+// muxReader reads frames off one connection into a single body
 // buffer reused for every frame (DESIGN.md §10): a frame's chunk
 // aliases that buffer and is valid only until the next read, so every
 // consumer copies what it keeps. readHead/readBody split a frame so a
@@ -438,7 +432,10 @@ type muxSettings struct {
 	maxStreams int
 }
 
-// encodeMuxSettings packs the MUXUP request/response payload.
+// muxSettingsLen is the SETTINGS body size.
+const muxSettingsLen = 8
+
+// encodeMuxSettings packs a SETTINGS body.
 func encodeMuxSettings(s muxSettings) []byte {
 	return []byte{
 		byte(s.window >> 24), byte(s.window >> 16), byte(s.window >> 8), byte(s.window),
@@ -446,9 +443,9 @@ func encodeMuxSettings(s muxSettings) []byte {
 	}
 }
 
-// decodeMuxSettings unpacks a MUXUP payload.
+// decodeMuxSettings unpacks a SETTINGS body.
 func decodeMuxSettings(payload []byte) (muxSettings, error) {
-	if len(payload) != 8 {
+	if len(payload) != muxSettingsLen {
 		return muxSettings{}, fmt.Errorf("transport: malformed mux settings (%d bytes)", len(payload))
 	}
 	s := muxSettings{
@@ -473,4 +470,26 @@ func (s muxSettings) negotiate(peer muxSettings) muxSettings {
 		out.maxStreams = peer.maxStreams
 	}
 	return out
+}
+
+// writeSettings sends this side's SETTINGS frame.
+func writeSettings(w *lockedWriter, s muxSettings) error {
+	return writeMuxFrame(w, muxKindSettings, 0, nil, encodeMuxSettings(s))
+}
+
+// readSettings reads the connection preface: the peer's SETTINGS
+// frame, which must be the first frame on the connection. Anything
+// else fails before any of its body is read.
+func readSettings(mr *muxReader) (muxSettings, error) {
+	f, rest, err := mr.readHead()
+	if err != nil {
+		return muxSettings{}, err
+	}
+	if f.kind != muxKindSettings || f.id != 0 || rest != muxSettingsLen {
+		return muxSettings{}, fmt.Errorf("transport: connection preface is not a SETTINGS frame (kind %d, stream %d, %d bytes)", f.kind, f.id, rest)
+	}
+	if err := mr.readBody(&f, rest); err != nil {
+		return muxSettings{}, err
+	}
+	return decodeMuxSettings(f.chunk)
 }

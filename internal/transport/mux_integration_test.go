@@ -60,8 +60,7 @@ func (r *recordingHealth) counts() (int, int) {
 }
 
 // startMuxPair runs a server over the given store and returns a
-// connected client with caps already probed, so the mux path is
-// engaged for every subsequent operation.
+// connected client.
 func startMuxPair(t *testing.T, store blockstore.Store, copts ClientOptions) *Client {
 	t.Helper()
 	srv := NewServer(store, ServerOptions{})
@@ -79,9 +78,6 @@ func startMuxPair(t *testing.T, store blockstore.Store, copts ClientOptions) *Cl
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	if client.capabilities(context.Background())&capMux == 0 {
-		t.Fatal("server did not advertise capMux")
-	}
 	return client
 }
 
@@ -95,9 +91,6 @@ func TestMuxInterleavedStreamReassembly(t *testing.T) {
 		MuxWindow: 8 << 10, // tiny window: every sizable block needs several chunks
 	})
 	ctx := context.Background()
-	if client.muxFor(ctx) == nil {
-		t.Fatal("mux did not engage after caps probe")
-	}
 
 	const streams = 24
 	var wg sync.WaitGroup
@@ -209,8 +202,8 @@ func TestMuxStreamTimeoutDoesNotPoisonConn(t *testing.T) {
 	}
 }
 
-// rawMuxPeer is a hand-rolled v2 client for hostile-input tests: it
-// performs the MUXUP handshake and then speaks raw frames.
+// rawMuxPeer is a hand-rolled client for hostile-input tests: it
+// performs the SETTINGS preface and then speaks raw frames.
 type rawMuxPeer struct {
 	t    *testing.T
 	conn net.Conn
@@ -223,22 +216,12 @@ func dialRawMux(t *testing.T, addr string) *rawMuxPeer {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	body, err := encodeRequest(opMuxUpgrade, "-", 0, encodeMuxSettings(muxSettings{window: defaultMuxWindow, maxStreams: 8}))
-	if err != nil {
+	if err := writeSettings(&lockedWriter{w: conn}, muxSettings{window: defaultMuxWindow, maxStreams: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, body); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp) < 1 || resp[0] != statusOK {
-		t.Fatalf("MUXUP refused: %q", resp)
-	}
-	if _, err := decodeMuxSettings(resp[1:]); err != nil {
-		t.Fatalf("bad MUXUP ack: %v", err)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := readSettings(&muxReader{r: conn}); err != nil {
+		t.Fatalf("server preface: %v", err)
 	}
 	return &rawMuxPeer{t: t, conn: conn}
 }

@@ -10,7 +10,38 @@ import (
 	"time"
 )
 
-// decodeMuxFrame parses one v2 frame body (the bytes after the outer
+// writeFrame writes one raw length-prefixed frame built from chunks —
+// the outer layer of every frame, for hand-rolled peers.
+func writeFrame(w io.Writer, chunks ...[]byte) error {
+	var body []byte
+	for _, c := range chunks {
+		body = append(body, c...)
+	}
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+	_, err := w.Write(append(hdr[:], body...))
+	return err
+}
+
+// readFrame reads one raw length-prefixed frame body, refusing a
+// length past MaxFrame.
+func readFrame(r io.Reader) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > MaxFrame {
+		return nil, errors.New("frame exceeds MaxFrame")
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
+	}
+	return body, nil
+}
+
+// decodeMuxFrame parses one frame body (the bytes after the outer
 // length prefix) through the connections' muxReader.
 func decodeMuxFrame(body []byte) (muxFrame, error) {
 	var prefix [4]byte
@@ -19,7 +50,7 @@ func decodeMuxFrame(body []byte) (muxFrame, error) {
 	return mr.next()
 }
 
-// encodeMuxTestFrame writes one v2 frame through the production writer
+// encodeMuxTestFrame writes one frame through the production writer
 // and returns its body (length prefix stripped), i.e. exactly what
 // decodeMuxFrame receives.
 func encodeMuxTestFrame(t *testing.T, kind byte, id uint32, head, chunk []byte) []byte {
@@ -51,6 +82,7 @@ func TestMuxFrameHeaderRoundTrip(t *testing.T) {
 		{"window", muxKindWindow, 9, nil, win[:]},
 		{"reset", muxKindReset, 3, nil, []byte("stop it")},
 		{"reset-empty", muxKindReset, 3, nil, nil},
+		{"settings", muxKindSettings, 0, nil, encodeMuxSettings(muxSettings{window: 1 << 20, maxStreams: 64})},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -74,9 +106,9 @@ func TestMuxFrameHeaderRoundTrip(t *testing.T) {
 				if f.credit != 123456 {
 					t.Fatalf("credit = %d, want 123456", f.credit)
 				}
-			case muxKindReset:
+			case muxKindReset, muxKindSettings:
 				if !bytes.Equal(f.chunk, c.body) {
-					t.Fatalf("RESET message = %q, want %q", f.chunk, c.body)
+					t.Fatalf("body = %q, want %q", f.chunk, c.body)
 				}
 			}
 		})
@@ -250,6 +282,7 @@ func FuzzMuxFrameDecode(f *testing.F) {
 	f.Add([]byte{muxKindResp, 0, 0, 0, 2, 0, statusOK, 'x'})
 	f.Add(append([]byte{muxKindWindow, 0, 0, 0, 3}, win[:]...))
 	f.Add([]byte{muxKindReset, 0, 0, 0, 4, 'e', 'r', 'r'})
+	f.Add(append([]byte{muxKindSettings, 0, 0, 0, 0}, encodeMuxSettings(muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams})...))
 	f.Add([]byte{muxKindReq, 0, 0})
 	f.Add([]byte{9, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -257,7 +290,7 @@ func FuzzMuxFrameDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if fr.kind < muxKindReq || fr.kind > muxKindReset {
+		if fr.kind < muxKindReq || fr.kind > muxKindSettings {
 			t.Fatalf("decoded unknown kind %d", fr.kind)
 		}
 		if len(fr.chunk) > len(body) {
@@ -315,6 +348,35 @@ func FuzzMuxSettingsDecode(f *testing.F) {
 		got, err := decodeMuxSettings(encodeMuxSettings(s))
 		if err != nil || got != s {
 			t.Fatalf("settings round trip = %+v, %v; want %+v", got, err, s)
+		}
+	})
+}
+
+// FuzzConnectionPreface throws arbitrary first bytes at the preface
+// reader: it must never panic, and it accepts exactly one well-formed
+// SETTINGS frame on stream 0 with positive fields.
+func FuzzConnectionPreface(f *testing.F) {
+	valid := encodeMuxSettings(muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams})
+	var buf bytes.Buffer
+	writeMuxFrame(&lockedWriter{w: &buf}, muxKindSettings, 0, nil, valid)
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()-3])                                                // truncated body
+	f.Add([]byte{0, 0, 0, 9, muxKindSettings, 0, 0, 0, 0, 1, 2, 3, 4})              // short body
+	f.Add([]byte{0, 0, 0, 13, muxKindSettings, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 8}) // stream 1
+	v1, _ := encodeRequest(opPut, "seg", 0, []byte("v1"))
+	var old bytes.Buffer
+	writeFrame(&old, v1)
+	f.Add(old.Bytes()) // an old single-op request
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		s, err := readSettings(&muxReader{r: bytes.NewReader(wire)})
+		if err != nil {
+			return
+		}
+		if s.window <= 0 || s.maxStreams <= 0 {
+			t.Fatalf("preface accepted non-positive settings %+v", s)
+		}
+		if len(wire) < 4+muxHeaderLen+muxSettingsLen || wire[4] != muxKindSettings {
+			t.Fatalf("preface accepted %d bytes of kind %d", len(wire), wire[4])
 		}
 	})
 }

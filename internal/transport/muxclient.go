@@ -15,12 +15,6 @@ import (
 	"repro/internal/blockstore"
 )
 
-// ErrMuxUnavailable reports that a streaming operation needs the
-// multiplexed transport but the server does not speak it (or the
-// upgrade could not be established right now). Callers fall back to
-// the batch or single-op paths.
-var ErrMuxUnavailable = errors.New("transport: mux transport unavailable")
-
 // errMuxConnClosed reports an exchange cut short by its mux
 // connection dying (read error, protocol violation, or Close); the
 // request may or may not have reached the server.
@@ -42,6 +36,7 @@ type HealthReporter interface {
 type muxConn struct {
 	c        *Client
 	conn     net.Conn
+	mr       *muxReader
 	w        *lockedWriter
 	ctl      *ctlQueue
 	settings muxSettings
@@ -192,8 +187,8 @@ func (s *muxStream) isFinished() bool {
 	return s.finished
 }
 
-// muxDefaults are the client's proposed settings (clamped by
-// ClientOptions and by the server during negotiation).
+// muxProposal is the client's proposed settings (clamped by
+// ClientOptions, and by the server in its SETTINGS answer).
 func (c *Client) muxProposal() muxSettings {
 	s := muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams}
 	if c.muxWindow > 0 {
@@ -205,116 +200,114 @@ func (c *Client) muxProposal() muxSettings {
 	return s
 }
 
-// muxFor returns a live mux connection when the server is known to
-// speak transport v2 (CAPS already probed, capMux set) and the mux is
-// enabled; nil sends the caller down the v1 path. Establishment
-// happens at most once at a time and failures are not retried for
-// muxRedialBackoff, so a flapping upgrade cannot stall the data path
-// — it degrades to v1 and heals later.
-func (c *Client) muxFor(ctx context.Context) *muxConn {
-	if c.muxDisabled {
-		return nil
-	}
-	if v := c.caps.Load(); v == 0 || (v>>1)&capMux == 0 {
-		return nil
-	}
-	c.muxMu.Lock()
-	if c.muxClosed {
-		c.muxMu.Unlock()
-		return nil
-	}
-	// Reap dead conns, then pick the live conn with a free slot bias
-	// (round robin).
-	live := c.muxConns[:0]
-	for _, m := range c.muxConns {
-		if !m.isDead() {
-			live = append(live, m)
-		}
-	}
-	c.muxConns = live
-	if len(live) >= c.muxMaxConns {
-		m := live[c.muxNext%len(live)]
-		c.muxNext++
-		c.muxMu.Unlock()
-		return m
-	}
-	if c.muxEstablishing || time.Now().Before(c.muxRetryAt) {
-		var m *muxConn
-		if len(live) > 0 {
-			m = live[c.muxNext%len(live)]
-			c.muxNext++
-		}
-		c.muxMu.Unlock()
-		return m
-	}
-	c.muxEstablishing = true
-	c.muxMu.Unlock()
-
-	m, err := c.establishMux(ctx)
-	c.muxMu.Lock()
-	c.muxEstablishing = false
-	if err != nil {
-		c.muxRetryAt = time.Now().Add(muxRedialBackoff)
-		c.m.muxFallbacks.Inc()
-		var pick *muxConn
-		if n := len(c.muxConns); n > 0 {
-			pick = c.muxConns[c.muxNext%n]
-			c.muxNext++
-		}
-		c.muxMu.Unlock()
-		return pick
-	}
-	if c.muxClosed {
-		c.muxMu.Unlock()
-		m.fatal(errClientClosed)
-		return nil
-	}
-	c.muxConns = append(c.muxConns, m)
-	c.muxMu.Unlock()
-	return m
+// muxDial is one connection being opened; callers that need a
+// connection while none is live wait for it instead of dialing too.
+type muxDial struct {
+	done chan struct{}
+	err  error
 }
 
-// muxRedialBackoff spaces out failed upgrade attempts.
-const muxRedialBackoff = 500 * time.Millisecond
+// muxFor returns a live connection, round robin over up to
+// muxMaxConns of them. Dead connections are reaped here; a new one is
+// opened while the pool is below its cap and nobody else is opening
+// one. A caller that finds nothing live waits for the dial in
+// progress and shares its outcome, so a dead server costs one dial
+// per wave of callers, not one per caller.
+func (c *Client) muxFor(ctx context.Context) (*muxConn, error) {
+	for {
+		c.muxMu.Lock()
+		if c.muxClosed {
+			c.muxMu.Unlock()
+			return nil, errClientClosed
+		}
+		live := c.muxConns[:0]
+		for _, m := range c.muxConns {
+			if !m.isDead() {
+				live = append(live, m)
+			}
+		}
+		clear(c.muxConns[len(live):])
+		c.muxConns = live
+		if len(live) > 0 && (len(live) >= c.muxMaxConns || c.muxDialing != nil) {
+			m := live[c.muxNext%len(live)]
+			c.muxNext++
+			c.muxMu.Unlock()
+			return m, nil
+		}
+		if d := c.muxDialing; d != nil {
+			c.muxMu.Unlock()
+			select {
+			case <-d.done:
+				// The dialer's own cancellation says nothing about the
+				// server: a waiter whose context is alive dials itself.
+				if d.err != nil && !(ctx.Err() == nil && isContextErr(d.err)) {
+					return nil, d.err
+				}
+				continue
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		d := &muxDial{done: make(chan struct{})}
+		c.muxDialing = d
+		c.muxMu.Unlock()
 
-// establishMux dials a dedicated connection and performs the MUXUP
-// handshake: a v1 exchange proposing settings, answered with the
-// server's (clamped) choice, after which the connection speaks v2.
+		m, err := c.establishMux(ctx)
+		c.muxMu.Lock()
+		c.muxDialing = nil
+		d.err = err
+		close(d.done)
+		switch {
+		case err != nil:
+			// A failed extra connection still leaves the live ones.
+			var pick *muxConn
+			if n := len(c.muxConns); n > 0 {
+				pick = c.muxConns[c.muxNext%n]
+				c.muxNext++
+			}
+			c.muxMu.Unlock()
+			if pick != nil {
+				return pick, nil
+			}
+			return nil, err
+		case c.muxClosed:
+			c.muxMu.Unlock()
+			m.fatal(errClientClosed)
+			return nil, errClientClosed
+		}
+		c.muxConns = append(c.muxConns, m)
+		c.muxMu.Unlock()
+		return m, nil
+	}
+}
+
+// isContextErr reports a cancellation or deadline error.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// establishMux dials a connection and exchanges the SETTINGS preface:
+// the client proposes, the server answers with its clamped choice,
+// and from then on the connection carries streams.
 func (c *Client) establishMux(ctx context.Context) (*muxConn, error) {
 	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
 	if err != nil {
 		c.m.dialErrors.Inc()
 		return nil, err
 	}
-	conn.SetDeadline(time.Now().Add(c.dialTimeout))
-	body, err := encodeRequest(opMuxUpgrade, "-", 0, encodeMuxSettings(c.muxProposal()))
+	c.m.dials.Inc()
+	w := &lockedWriter{w: conn}
+	mr := &muxReader{r: bufio.NewReaderSize(conn, muxReadAhead)}
+	settings, err := c.preface(ctx, conn, w, mr)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	if err := writeFrame(conn, body); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	resp, err := readFrame(conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if len(resp) < 1 || resp[0] != statusOK {
-		conn.Close()
-		return nil, fmt.Errorf("%w: upgrade refused", ErrMuxUnavailable)
-	}
-	settings, err := decodeMuxSettings(resp[1:])
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	conn.SetDeadline(time.Time{})
 	m := &muxConn{
 		c:        c,
 		conn:     conn,
-		w:        &lockedWriter{w: conn},
+		mr:       mr,
+		w:        w,
 		ctl:      newCtlQueue(),
 		settings: settings,
 		slots:    make(chan struct{}, settings.maxStreams),
@@ -323,9 +316,40 @@ func (c *Client) establishMux(ctx context.Context) (*muxConn, error) {
 		done:     make(chan struct{}),
 	}
 	c.m.muxDials.Inc()
+	// Both goroutines live as long as the connection: fatal stops
+	// them, and close joins them.
+	//lint:ignore goroutinehygiene joined by muxConn.close on m.done and m.ctl.done
 	go m.ctl.run(m.w, m.fatal)
+	//lint:ignore goroutinehygiene joined by muxConn.close on m.done and m.ctl.done
 	go m.demux()
 	return m, nil
+}
+
+// preface runs the SETTINGS exchange on a fresh connection under a
+// deadline of DialTimeout (or RequestTimeout when shorter); canceling
+// ctx cuts it short.
+func (c *Client) preface(ctx context.Context, conn net.Conn, w *lockedWriter, mr *muxReader) (muxSettings, error) {
+	limit := c.dialTimeout
+	if c.reqTimeout > 0 && c.reqTimeout < limit {
+		limit = c.reqTimeout
+	}
+	conn.SetDeadline(time.Now().Add(limit))
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+	proposal := c.muxProposal()
+	err := writeSettings(w, proposal)
+	var peer muxSettings
+	if err == nil {
+		peer, err = readSettings(mr)
+	}
+	canceled := !stop()
+	if err == nil && canceled {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return muxSettings{}, c.wrapExchangeErr(err, canceled, ctx)
+	}
+	conn.SetDeadline(time.Time{})
+	return proposal.negotiate(peer), nil
 }
 
 func (m *muxConn) isDead() bool {
@@ -335,9 +359,8 @@ func (m *muxConn) isDead() bool {
 }
 
 // fatal kills the connection: every in-flight stream fails with err,
-// late frames are ignored, and the next exchange establishes a fresh
-// mux (or falls back to v1). Safe to call from any goroutine, once or
-// many times.
+// late frames are ignored, and the next exchange opens a fresh
+// connection. Safe to call from any goroutine, once or many times.
 func (m *muxConn) fatal(err error) {
 	m.mu.Lock()
 	if m.dead {
@@ -413,7 +436,7 @@ func (m *muxConn) lookup(id uint32) (*muxStream, bool) {
 //lint:ignore ctxcancel conn-lifetime loop; fatal()/Close() unblock the read via conn.Close
 func (m *muxConn) demux() {
 	defer close(m.done)
-	mr := &muxReader{r: bufio.NewReaderSize(m.conn, muxReadAhead)}
+	mr := m.mr
 	for {
 		f, rest, err := mr.readHead()
 		if err != nil {
@@ -442,7 +465,7 @@ func (m *muxConn) demux() {
 				m.unregister(f.id)
 				s.finish(fmt.Errorf("transport: stream reset by server: %s", f.chunk))
 			}
-		default: // REQ from a server
+		default: // REQ or a second SETTINGS from the server
 			m.fatal(fmt.Errorf("transport: unexpected mux frame kind %d from server", f.kind))
 			return
 		}
@@ -524,12 +547,10 @@ func (m *muxConn) demuxResp(mr *muxReader, f muxFrame, rest int) error {
 }
 
 // exchange runs one request/response over its own stream. chunks is
-// the v1-encoded request body (header + payload pieces); contents
-// must stay valid until exchange returns. Timeouts and cancellations
-// abandon only this stream: a RESET tells the server to drop the
-// work, credit stops flowing, and the connection keeps serving its
-// other streams — the v1 path would have discarded the pooled
-// connection instead.
+// the request body (header + payload pieces); contents must stay
+// valid until exchange returns. Timeouts and cancellations abandon
+// only this stream: a RESET tells the server to drop the work, credit
+// stops flowing, and the connection keeps serving its other streams.
 func (m *muxConn) exchange(ctx context.Context, chunks [][]byte) (byte, []byte, error) {
 	select {
 	case m.slots <- struct{}{}:
@@ -678,66 +699,41 @@ func (m *muxConn) writeRequest(s *muxStream, chunks [][]byte) error {
 func (m *muxConn) close() {
 	m.fatal(errClientClosed)
 	<-m.done
+	<-m.ctl.done
 }
 
-// GetStream fetches many blocks concurrently over the multiplexed
-// transport, delivering each block the moment its response frames
-// complete — out of order, exactly as the decoder wants them. Every
-// index becomes its own stream (with the usual idempotent retry
-// policy), so a stalled block stalls only itself. Returns
-// ErrMuxUnavailable without calling deliver when the server does not
-// speak transport v2; callers then fall back to batch windows.
-// deliver may be called from multiple goroutines.
+// GetStream implements blockstore.Streamer with blockstore.FanOutGet:
+// every index becomes its own GET stream, each under the idempotent
+// retry policy (a connection that cannot be opened is one more
+// retryable failure), and each block is delivered the moment its
+// response completes — out of order, exactly as the decoder wants
+// them — so a stalled block stalls only itself. deliver may be called
+// from multiple goroutines. It always returns nil.
 func (c *Client) GetStream(ctx context.Context, segment string, indices []int, deliver func(index int, data []byte, err error)) error {
-	if c.capabilities(ctx)&capMux == 0 {
-		return ErrMuxUnavailable
-	}
-	if c.muxFor(ctx) == nil {
-		return ErrMuxUnavailable
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, defaultMuxStreams/2)
-	for _, idx := range indices {
-		if err := ctx.Err(); err != nil {
-			deliver(idx, nil, err)
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(idx int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			data, err := c.Get(ctx, segment, idx)
-			deliver(idx, data, err)
-		}(idx)
-	}
-	wg.Wait()
+	blockstore.FanOutGet(ctx, c, segment, indices, deliver)
 	return nil
 }
 
-// PutStream ships many blocks over one pipelined PUTSTREAM stream:
-// the server stores and acknowledges each entry as its bytes arrive,
-// and acked(i, err) fires in order, exactly once per entry, as those
-// acks come back — so the caller learns of durable blocks while later
-// entries are still in flight. acked runs on transport goroutines and
-// must not block or call back into the Client. Entry data is not
-// retained after PutStream returns.
+// PutStream implements blockstore.Streamer: it ships a run of blocks
+// over one pipelined PUTSTREAM stream. The server stores and
+// acknowledges each entry as its bytes arrive, and acked(i, err)
+// fires in order, exactly once per entry, as those acks come back —
+// so the caller learns of durable blocks while later entries are
+// still in flight. acked runs on transport goroutines and must not
+// block or call back into the Client. Entry data is not retained
+// after PutStream returns.
 //
-// The contract mirrors GetStream's: a non-nil return means acked was
-// never called — the server lacks the capability (ErrMuxUnavailable)
-// or the stream failed before any ack — and every entry may be safely
-// retried on the batch or single-op paths. Once the first ack lands,
-// PutStream returns nil and any mid-stream failure is delivered
-// through acked for the remaining entries instead.
+// A non-nil return means acked was never called: the stream failed
+// before any ack, and every entry may be retried elsewhere. Once the
+// first ack lands, PutStream returns nil and any mid-stream failure
+// is delivered through acked for the remaining entries instead.
+//
+// A run of one entry goes as a unary PUT (its error returned, not
+// acked): a one-entry stream would only add a server goroutine and
+// ack framing. So does each entry of a run holding an entry larger
+// than the stream window, which PUTSTREAM cannot carry (its credit is
+// returned only once an entry is stored).
 func (c *Client) PutStream(ctx context.Context, segment string, puts []blockstore.BatchPut, acked func(i int, err error)) error {
-	caps := c.capabilities(ctx)
-	if caps&capMux == 0 || caps&capPutStream == 0 {
-		return ErrMuxUnavailable
-	}
-	m := c.muxFor(ctx)
-	if m == nil {
-		return ErrMuxUnavailable
-	}
 	if len(segment) > 0xFFFF {
 		return fmt.Errorf("transport: segment name too long (%d bytes)", len(segment))
 	}
@@ -746,8 +742,31 @@ func (c *Client) PutStream(ctx context.Context, segment string, puts []blockstor
 			return fmt.Errorf("transport: negative block index")
 		}
 	}
-	if len(puts) == 0 {
+	switch len(puts) {
+	case 0:
 		return nil
+	case 1:
+		if err := c.Put(ctx, segment, puts[0].Index, puts[0].Data); err != nil {
+			return err
+		}
+		acked(0, nil)
+		return nil
+	}
+	m, err := c.muxFor(ctx)
+	if err != nil {
+		return err
+	}
+	for _, p := range puts {
+		if putEntryOverhead+len(p.Data) > m.settings.window {
+			for i, p := range puts {
+				err := ctx.Err()
+				if err == nil {
+					err = c.Put(ctx, segment, p.Index, p.Data)
+				}
+				acked(i, err)
+			}
+			return nil
+		}
 	}
 	return m.putStream(ctx, segment, puts, acked)
 }
@@ -884,11 +903,11 @@ func (m *muxConn) putStream(ctx context.Context, segment string, puts []blocksto
 		watch.Wait()
 	}()
 
-	// The request reuses the PUTBATCH wire shape (header into pooled
-	// scratch, entry data referenced in place); only the op differs.
+	// Entry headers go into pooled scratch; entry data is referenced in
+	// place and written with vectored I/O.
 	scratch := getScratch()
 	defer putScratch(scratch)
-	growScratch(scratch, requestHeaderLen(segment)+putBatchEntryOverhead*len(puts))
+	growScratch(scratch, requestHeaderLen(segment)+putEntryOverhead*len(puts))
 	chunks := make([][]byte, 0, 1+2*len(puts))
 	*scratch = appendRequestHeader(*scratch, opPutStream, segment, len(puts))
 	chunks = append(chunks, *scratch)

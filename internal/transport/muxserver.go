@@ -15,31 +15,48 @@ import (
 	"repro/internal/admission"
 )
 
-// serverMuxDefaults bound what a server will accept during MUXUP
-// negotiation regardless of the client's proposal.
+// serverMuxDefaults bound what a server accepts in the SETTINGS
+// preface regardless of the client's proposal.
 var serverMuxDefaults = muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams}
 
-// upgradeMux answers one MUXUP request. A malformed proposal is
-// refused in-band (the connection stays on v1); a valid one is
-// acknowledged with the clamped settings, after which the connection
-// speaks v2 frames until it drops. Returns served=true when the
-// connection was consumed by the mux loop.
-func (s *Server) upgradeMux(ctx context.Context, conn net.Conn, req request) (served bool, err error) {
-	peer, derr := decodeMuxSettings(req.payload)
-	if derr != nil {
-		return false, writeFrame(conn, []byte{statusErr}, []byte(derr.Error()))
+// handle serves one connection: the SETTINGS preface, then streams
+// until the connection drops. Every stream's context derives from the
+// connection's, which is canceled when the connection drops — the
+// server side of RobuSTore's request cancellation (§5.3.3): a client
+// that hangs up cancels its queued work. A connection whose first
+// frame is not a well-formed SETTINGS is closed with nothing served.
+func (s *Server) handle(conn net.Conn) {
+	s.m.conns.Add(1)
+	defer func() {
+		s.m.conns.Add(-1)
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		s.wg.Done()
+	}()
+	// One reused frame buffer for the connection: a frame's chunk is
+	// valid only until the next read, so every consumer copies what it
+	// keeps (DESIGN.md §10).
+	mr := &muxReader{r: bufio.NewReaderSize(conn, muxReadAhead)}
+	peer, err := readSettings(mr)
+	if err != nil {
+		if err != io.EOF && !errors.Is(err, net.ErrClosed) {
+			s.logf("transport: bad preface from %v: %v", conn.RemoteAddr(), err)
+		}
+		return
 	}
 	chosen := serverMuxDefaults.negotiate(peer)
-	ack := make([]byte, 0, 9)
-	ack = append(ack, statusOK)
-	ack = append(ack, encodeMuxSettings(chosen)...)
-	if err := writeFrame(conn, ack); err != nil {
-		return false, err
+	w := &lockedWriter{w: conn}
+	if err := writeSettings(w, chosen); err != nil {
+		return
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	m := &muxServerConn{
 		s:        s,
 		conn:     conn,
-		w:        &lockedWriter{w: conn},
+		w:        w,
 		ctl:      newCtlQueue(),
 		settings: chosen,
 		ctx:      ctx,
@@ -47,14 +64,13 @@ func (s *Server) upgradeMux(ctx context.Context, conn net.Conn, req request) (se
 	}
 	// Control frames go out async so the serve read loop never blocks
 	// on the write side; a control write failure means the conn is
-	// broken, so closing it unblocks readFrame and ends serve.
-	go m.ctl.run(m.w, func(error) { m.conn.Close() })
-	m.serve()
+	// broken, so closing it unblocks the read and ends serve.
+	go m.ctl.run(m.w, func(error) { conn.Close() })
+	m.serve(mr)
 	// serve's teardown closed the queue; closing the conn unblocks any
 	// control write still in flight so the writer goroutine can exit.
 	conn.Close()
 	<-m.ctl.done
-	return true, nil
 }
 
 // muxServerConn is the server half of one multiplexed connection: the
@@ -85,16 +101,13 @@ type muxServerStream struct {
 	done   bool
 }
 
-// serve is the connection's v2 read loop. Like Server.handle, the
-// loop lives exactly as long as the connection: a dropped conn (or
-// Server.Close) unblocks readFrame, and teardown cancels every
-// in-flight stream.
-func (m *muxServerConn) serve() {
+// serve is the connection's read loop after the preface. It lives
+// exactly as long as the connection: a dropped conn (or Server.Close)
+// unblocks the read, and teardown cancels every in-flight stream. Any
+// frame a client may not send — a second SETTINGS included — kills
+// the connection.
+func (m *muxServerConn) serve(mr *muxReader) {
 	defer m.teardown()
-	// One reused frame buffer for the connection: a frame's chunk is
-	// valid only until the next read, so every consumer below copies
-	// what it keeps (DESIGN.md §10).
-	mr := &muxReader{r: bufio.NewReaderSize(m.conn, muxReadAhead)}
 	//lint:ignore ctxcancel conn-lifetime loop; teardown cancels per-stream ctxs and conn close unblocks the read
 	for {
 		f, err := mr.next()
@@ -313,63 +326,35 @@ func (m *muxServerConn) serveStream(ctx context.Context, st *muxServerStream, re
 	defer m.finishStream(st)
 	m.s.m.muxInflight.Add(1)
 	defer m.s.m.muxInflight.Add(-1)
-	var status byte
-	var chunks [][]byte
-	switch req.op {
-	case opPutBatch, opGetBatch, opDeleteBatch, opCaps:
-		start := time.Now()
-		m.s.m.ops[req.op].Inc()
-		scratch := getScratch()
-		defer putScratch(scratch)
-		status, chunks = m.s.dispatchBatch(ctx, req, scratch)
-		m.s.m.opSeconds[req.op].Observe(time.Since(start).Seconds())
-		if status != statusOK {
-			m.s.m.errors.Inc()
-		}
-	case opMuxUpgrade:
-		status, chunks = statusErr, [][]byte{[]byte("transport: connection already multiplexed")}
-	default:
-		st2, payload := m.s.dispatch(ctx, req)
-		status = st2
-		if len(payload) > 0 {
-			chunks = [][]byte{payload}
-		}
-	}
-	m.writeResponse(st, status, chunks)
+	status, payload := m.s.dispatch(ctx, req)
+	m.writeResponse(st, status, payload)
 }
 
 // writeResponse streams one response as chunked RESP frames, taking
 // per-stream credit before each chunk so a slow or abandoned reader
 // stalls only this stream. The status rides on every frame (first
 // wins client-side), so even an empty response carries it.
-func (m *muxServerConn) writeResponse(st *muxServerStream, status byte, chunks [][]byte) {
-	total := 0
-	for _, ch := range chunks {
-		total += len(ch)
-	}
-	stalled := func() { m.s.m.muxStalls.Inc() }
-	written := 0
-	for _, ch := range chunks {
-		for len(ch) > 0 {
-			n, err := st.send.take(len(ch), stalled)
-			if err != nil {
-				return // stream reset or connection down
-			}
-			fin := byte(0)
-			if written+n == total {
-				fin = muxFlagFIN
-				m.retire(st)
-			}
-			if err := writeMuxFrame(m.w, muxKindResp, st.id, []byte{fin, status}, ch[:n]); err != nil {
-				return
-			}
-			written += n
-			ch = ch[n:]
-		}
-	}
-	if total == 0 {
+func (m *muxServerConn) writeResponse(st *muxServerStream, status byte, payload []byte) {
+	if len(payload) == 0 {
 		m.retire(st)
 		writeMuxFrame(m.w, muxKindResp, st.id, []byte{muxFlagFIN, status}, nil)
+		return
+	}
+	stalled := func() { m.s.m.muxStalls.Inc() }
+	for len(payload) > 0 {
+		n, err := st.send.take(len(payload), stalled)
+		if err != nil {
+			return // stream reset or connection down
+		}
+		fin := byte(0)
+		if n == len(payload) {
+			fin = muxFlagFIN
+			m.retire(st)
+		}
+		if err := writeMuxFrame(m.w, muxKindResp, st.id, []byte{fin, status}, payload[:n]); err != nil {
+			return
+		}
+		payload = payload[n:]
 	}
 }
 
@@ -409,7 +394,7 @@ type muxPutStream struct {
 	inUse int // entry wire bytes received and not yet done
 
 	// The entry being received (feed) ...
-	hdr     [putBatchEntryOverhead]byte // its header, possibly split across chunks
+	hdr     [putEntryOverhead]byte // its header, possibly split across chunks
 	nhdr    int
 	fill    *[]byte // its data buffer once the header is complete
 	fillIdx int
@@ -480,14 +465,14 @@ func (p *muxPutStream) feed(chunk []byte, fin bool) error {
 			k := copy(p.hdr[p.nhdr:], chunk)
 			p.nhdr += k
 			chunk = chunk[k:]
-			if p.nhdr < putBatchEntryOverhead {
+			if p.nhdr < putEntryOverhead {
 				break
 			}
 			idx := int(binary.BigEndian.Uint32(p.hdr[0:4]))
 			n := int(binary.BigEndian.Uint32(p.hdr[4:8]))
 			// An entry's credit is granted only after it is consumed, so
 			// one larger than the window could never arrive whole.
-			if idx < 0 || n < 0 || putBatchEntryOverhead+n > p.window {
+			if idx < 0 || n < 0 || putEntryOverhead+n > p.window {
 				p.err = fmt.Errorf("transport: malformed put stream entry (index %d, %d bytes; window %d)", idx, n, p.window)
 				return nil
 			}
@@ -565,7 +550,7 @@ func (p *muxPutStream) next() (idx int, data []byte, consumed int, err error) {
 				p.ready, p.head = p.ready[:0], 0
 			}
 			data = *p.held.data
-			return p.held.idx, data, putBatchEntryOverhead + len(data), nil
+			return p.held.idx, data, putEntryOverhead + len(data), nil
 		}
 		if p.fin {
 			if p.fill == nil && p.nhdr == 0 {
@@ -589,7 +574,7 @@ func (p *muxPutStream) doneLocked() {
 	if p.held.data == nil {
 		return
 	}
-	p.inUse -= putBatchEntryOverhead + len(*p.held.data)
+	p.inUse -= putEntryOverhead + len(*p.held.data)
 	putPutStreamBuf(p.held.data)
 	p.held = streamEntry{}
 }

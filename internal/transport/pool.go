@@ -2,13 +2,11 @@ package transport
 
 import "sync"
 
-// Scratch-buffer pool for the batch hot path. Batch requests and
-// responses are assembled as small header chunks that reference the
-// caller's block buffers (vectored writes), so the only per-batch
-// allocations would be those headers — pooling them makes the
-// steady-state transport cost of a batch approach zero allocations.
-// Payload buffers are NOT pooled here: a GET response body is handed
-// to the caller, which may retain it (the decoder does).
+// Scratch-buffer pool for PUTSTREAM request headers. A stream's body
+// is assembled as small header chunks that reference the caller's
+// block buffers (vectored writes), so the only per-stream allocations
+// would be those headers — pooling them makes the steady-state cost
+// of a stream approach zero allocations.
 var scratchPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -24,8 +22,7 @@ func getScratch() *[]byte {
 }
 
 // putScratch returns a scratch buffer to the pool. Oversized buffers
-// (a batch of huge error messages) are dropped so the pool's
-// steady-state footprint stays bounded.
+// are dropped so the pool's steady-state footprint stays bounded.
 func putScratch(b *[]byte) {
 	if cap(*b) > 1<<20 {
 		return
@@ -33,6 +30,10 @@ func putScratch(b *[]byte) {
 	scratchPool.Put(b)
 }
 
-// frameHdrPool pools the 4-byte frame-length headers used by vectored
-// writes, which must outlive the writeFrameVec call they are built in.
-var frameHdrPool = sync.Pool{New: func() any { return new([4]byte) }}
+// growScratch pre-sizes scratch so subsequent appends never relocate
+// the backing array out from under chunks that already reference it.
+func growScratch(scratch *[]byte, need int) {
+	if cap(*scratch) < need {
+		*scratch = make([]byte, 0, need)
+	}
+}

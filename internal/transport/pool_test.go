@@ -2,13 +2,18 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/blockstore"
 )
+
+// The client's pool is its connections times each one's negotiated
+// stream limit: a request beyond it waits for a free stream slot.
 
 func TestClientPoolCapBlocksAndRecovers(t *testing.T) {
 	store := blockstore.NewSlowStore(blockstore.NewMemStore(),
@@ -20,13 +25,13 @@ func TestClientPoolCapBlocksAndRecovers(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	client, err := Dial(ln.Addr().String(), ClientOptions{MaxConns: 2})
+	client, err := Dial(ln.Addr().String(), ClientOptions{MuxConns: 1, MuxMaxStreams: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 	ctx := context.Background()
-	// Six concurrent puts through a 2-connection pool: all must finish.
+	// Six concurrent puts through a 2-stream pool: all must finish.
 	var wg sync.WaitGroup
 	errCh := make(chan error, 6)
 	start := time.Now()
@@ -60,16 +65,16 @@ func TestClientPoolWaiterHonorsContext(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	client, err := Dial(ln.Addr().String(), ClientOptions{MaxConns: 1})
+	client, err := Dial(ln.Addr().String(), ClientOptions{MuxConns: 1, MuxMaxStreams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	// Occupy the single connection.
+	// Occupy the single stream slot.
 	go client.Put(context.Background(), "s", 0, []byte("slow"))
 	time.Sleep(50 * time.Millisecond)
 	// A second request must give up when its context expires while
-	// waiting for the pool.
+	// waiting for a stream slot.
 	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -91,7 +96,7 @@ func TestCloseUnblocksPoolWaiters(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	client, err := Dial(ln.Addr().String(), ClientOptions{MaxConns: 1})
+	client, err := Dial(ln.Addr().String(), ClientOptions{MuxConns: 1, MuxMaxStreams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,5 +144,65 @@ func TestServerAddr(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if srv.Addr() == nil {
 		t.Fatal("Addr after Serve is nil")
+	}
+}
+
+// TestDialerCancellationDoesNotFailWaiters: callers that find no live
+// connection wait for the dial in progress. When the caller that
+// started it gives up mid-preface, the others must not inherit its
+// cancellation: one of them dials again and gets served.
+func TestDialerCancellationDoesNotFailWaiters(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(blockstore.NewMemStore(), ServerOptions{})
+	t.Cleanup(func() { srv.Close() })
+	// The first connection's preface is never answered.
+	stalled := make(chan net.Conn, 1)
+	var accepted atomic.Int64
+	go srv.Serve(listenerFunc{ln, func(c net.Conn) bool {
+		if accepted.Add(1) == 1 {
+			stalled <- c
+			return false
+		}
+		return true
+	}})
+	client := &Client{addr: ln.Addr().String(), dialTimeout: 5 * time.Second, muxMaxConns: 1}
+	defer client.Close()
+
+	dialerCtx, cancel := context.WithCancel(context.Background())
+	dialerErr, waiterErr := make(chan error, 1), make(chan error, 1)
+	go func() { dialerErr <- client.Ping(dialerCtx) }()
+	defer (<-stalled).Close() // the dialer now waits for the preface answer
+	go func() { waiterErr <- client.Ping(context.Background()) }()
+	time.Sleep(20 * time.Millisecond) // let the waiter queue behind the dial
+	cancel()
+	if err := <-dialerErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled dialer = %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-waiterErr:
+		if err != nil {
+			t.Fatalf("waiter inherited the dialer's failure: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter never served")
+	}
+}
+
+// listenerFunc hands the server only the accepted connections keep
+// returns true for.
+type listenerFunc struct {
+	net.Listener
+	keep func(net.Conn) bool
+}
+
+func (l listenerFunc) Accept() (net.Conn, error) {
+	for {
+		c, err := l.Listener.Accept()
+		if err != nil || l.keep(c) {
+			return c, err
+		}
 	}
 }

@@ -1,77 +1,63 @@
-// Package transport implements the RobuSTore block protocol: a
-// length-prefixed binary request/response protocol over TCP between
-// clients and storage servers. The Client implements
-// blockstore.Store, so the RobuSTore client library treats local and
-// remote stores uniformly; the Server exposes any blockstore.Store on
-// the network, optionally behind an admission controller (§5.4).
+// Package transport implements the RobuSTore block protocol between
+// clients and storage servers over TCP. The Client implements
+// blockstore.Store and blockstore.Streamer, so the RobuSTore client
+// library treats local and remote stores uniformly; the Server
+// exposes any blockstore.Store on the network, optionally behind an
+// admission controller (§5.4).
 //
-// Frame layout (all integers big-endian):
+// Every connection speaks one framed, multiplexed protocol from its
+// first byte (DESIGN.md §10). All integers are big-endian; a frame is
 //
-//	request:  [4B frame length][1B op][2B segment length][segment]
-//	          [4B block index][payload...]
-//	response: [4B frame length][1B status][payload...]
+//	[4B frame length][1B kind][4B stream id][body...]
 //
-// A GET response payload is the block; LIST and SCRUB response
-// payloads are sequences of 4-byte indices (stored blocks and
-// verification failures respectively); an error response payload is
-// the message text.
+// and the connection opens with one SETTINGS frame in each direction
+// (stream id 0, body [4B window][4B max streams]): the client
+// proposes, the server answers with the per-field minimum of the
+// proposal and its own limits, and both sides use that. A first frame
+// of any other kind, or a second SETTINGS frame later on, closes the
+// connection without serving anything. After the preface each
+// exchange is its own stream of REQ frames answered by RESP frames
+// (see mux.go), under per-stream flow control.
 //
-// Batch operations (DESIGN.md §10) reuse the request layout with the
-// index field carrying the entry count:
+// The REQ chunks of a stream concatenate to one request body:
 //
-//	PUTBATCH request payload:  count × [4B index][4B length][data]
-//	GETBATCH/DELETEBATCH request payload: count × [4B index]
-//	batch response payload (status OK): count × [4B index][1B status]
-//	          [4B length][bytes]   — bytes is block data for a GET
-//	          entry that succeeded, an error message otherwise
+//	[1B op][2B segment length][segment][4B index][payload...]
 //
-// Per-entry statuses mean one bad block never fails its batch. CAPS
-// ([4B bitmask] response) lets new clients probe for batch support;
-// servers that predate it answer with an error status and the client
-// degrades to single-block operations.
+// and the RESP chunks to the response payload, with the status byte
+// on every RESP frame. The seven ops:
 //
-// PUTSTREAM (mux-only) is the pipelined write op: its request body is
-// the standard header (index = declared entry count) followed by
-// PUTBATCH-shaped entries, but the server consumes the entries
-// incrementally as REQ chunks arrive — each entry is stored as soon
-// as it is complete and acknowledged immediately with one
-// batch-result-shaped entry ([4B index][1B status][4B length][bytes])
-// streamed back as RESP chunks, so the client learns of durable
-// blocks long before the stream finishes. Flow-control credit is
-// granted only as entries are consumed, bounding server buffering by
-// the stream window instead of the request size.
+//	PUT        index = block; payload = block → empty
+//	GET        index = block → the block
+//	DELETE     index = entry count; payload = count × [4B index]
+//	           → count × [4B index][1B status][4B length][message]
+//	LIST       → [4B index]... of the blocks stored
+//	SCRUB      → [4B index]... of the blocks failing verification
+//	PING       → empty
+//	PUTSTREAM  index = entry count; payload = count × [4B index]
+//	           [4B length][data], consumed incrementally: each entry is
+//	           stored as soon as it is complete and acknowledged at once
+//	           with one DELETE-shaped result entry, streamed back as RESP
+//	           chunks. Credit is granted only as entries are consumed, so
+//	           server buffering is bounded by the stream window.
+//
+// An error response's payload is the message text. Per-entry statuses
+// mean one bad block never fails its DELETE or PUTSTREAM.
 package transport
 
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
-	"net"
 )
 
 // Operation codes.
 const (
-	opPut         = byte(1)
-	opGet         = byte(2)
-	opDelete      = byte(3)
-	opList        = byte(4)
-	opPing        = byte(5)
-	opScrub       = byte(6) // verify a segment in place, return bad indices
-	opPutBatch    = byte(7)
-	opGetBatch    = byte(8)
-	opDeleteBatch = byte(9)
-	opCaps        = byte(10) // capability probe: which batch ops the server speaks
-	opMuxUpgrade  = byte(11) // upgrade this connection to the multiplexed v2 framing
-	opPutStream   = byte(12) // pipelined put over one mux stream with per-entry acks
-)
-
-// Capability bits returned by CAPS.
-const (
-	capPutBatch    = uint32(1 << 0)
-	capGetBatch    = uint32(1 << 1)
-	capDeleteBatch = uint32(1 << 2)
-	capMux         = uint32(1 << 3) // server accepts opMuxUpgrade (transport v2)
-	capPutStream   = uint32(1 << 4) // server handles opPutStream incrementally on mux streams
+	opPut       = byte(1)
+	opGet       = byte(2)
+	opDelete    = byte(3) // index list in, per-entry statuses out
+	opList      = byte(4)
+	opPing      = byte(5)
+	opScrub     = byte(6) // verify a segment in place, return bad indices
+	opPutStream = byte(7) // pipelined put over one stream with per-entry acks
 )
 
 // Response status codes.
@@ -95,76 +81,7 @@ type request struct {
 	payload []byte
 }
 
-// writeFrame writes one length-prefixed frame built from the given
-// chunks.
-func writeFrame(w io.Writer, chunks ...[]byte) error {
-	var total int
-	for _, c := range chunks {
-		total += len(c)
-	}
-	if total > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", total)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(total))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, c := range chunks {
-		if _, err := w.Write(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeFrameVec writes one length-prefixed frame from a chunk list
-// using vectored I/O (net.Buffers → writev on TCP), so a batch frame
-// referencing many pooled block buffers goes out without being copied
-// into one contiguous body. The chunk slice is consumed. The 4-byte
-// length header is leased from frameHdrPool for the duration of the
-// write (it must survive until the writev drains, which the
-// synchronous WriteTo guarantees).
-func writeFrameVec(w io.Writer, chunks [][]byte) error {
-	var total int
-	for _, c := range chunks {
-		total += len(c)
-	}
-	if total > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", total)
-	}
-	hdr := frameHdrPool.Get().(*[4]byte)
-	defer frameHdrPool.Put(hdr)
-	binary.BigEndian.PutUint32(hdr[:], uint32(total))
-	bufs := make(net.Buffers, 0, len(chunks)+1)
-	bufs = append(bufs, hdr[:])
-	for _, c := range chunks {
-		if len(c) > 0 {
-			bufs = append(bufs, c)
-		}
-	}
-	_, err := bufs.WriteTo(w)
-	return err
-}
-
-// readFrame reads one length-prefixed frame body.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
-// encodeRequest serializes a request frame body.
+// encodeRequest serializes a request body.
 func encodeRequest(op byte, segment string, index int, payload []byte) ([]byte, error) {
 	if len(segment) > 0xFFFF {
 		return nil, fmt.Errorf("transport: segment name too long (%d bytes)", len(segment))
@@ -212,7 +129,7 @@ func peekRequest(buf []byte) (op byte, hdrLen int, ok bool) {
 	return buf[0], hdrLen, true
 }
 
-// decodeRequest parses a request frame body.
+// decodeRequest parses a request body.
 func decodeRequest(body []byte) (request, error) {
 	if len(body) < 7 {
 		return request{}, fmt.Errorf("transport: short request frame (%d bytes)", len(body))
@@ -228,7 +145,8 @@ func decodeRequest(body []byte) (request, error) {
 	return request{op: op, segment: seg, index: idx, payload: payload}, nil
 }
 
-// encodeIndices packs a LIST response payload.
+// encodeIndices packs an index list: a LIST or SCRUB response, a
+// DELETE request payload.
 func encodeIndices(indices []int) []byte {
 	out := make([]byte, 4*len(indices))
 	for i, idx := range indices {
@@ -237,7 +155,7 @@ func encodeIndices(indices []int) []byte {
 	return out
 }
 
-// decodeIndices unpacks a LIST response payload.
+// decodeIndices unpacks an index list.
 func decodeIndices(payload []byte) ([]int, error) {
 	if len(payload)%4 != 0 {
 		return nil, fmt.Errorf("transport: malformed index list (%d bytes)", len(payload))
@@ -249,55 +167,21 @@ func decodeIndices(payload []byte) ([]int, error) {
 	return out, nil
 }
 
-// putEntry is one decoded PUTBATCH request entry. The data slice
-// aliases the request frame body.
-type putEntry struct {
-	index int
-	data  []byte
-}
+// putEntryOverhead is the per-entry header size in a PUTSTREAM
+// request body: [4B index][4B length].
+const putEntryOverhead = 8
 
-// putBatchEntryOverhead is the per-entry header size in a PUTBATCH
-// request: [4B index][4B length].
-const putBatchEntryOverhead = 8
-
-// appendPutEntryHeader appends one PUTBATCH entry header to dst; the
-// entry's data travels as its own chunk (vectored write).
+// appendPutEntryHeader appends one PUTSTREAM entry header to dst; the
+// entry's data travels as its own chunk.
 func appendPutEntryHeader(dst []byte, index, dataLen int) []byte {
-	var h [putBatchEntryOverhead]byte
+	var h [putEntryOverhead]byte
 	binary.BigEndian.PutUint32(h[0:4], uint32(index))
 	binary.BigEndian.PutUint32(h[4:8], uint32(dataLen))
 	return append(dst, h[:]...)
 }
 
-// decodePutEntries parses a PUTBATCH request payload. count is the
-// declared entry count from the request's index field; it must match
-// the payload exactly.
-func decodePutEntries(count int, payload []byte) ([]putEntry, error) {
-	if count < 0 || count > len(payload)/putBatchEntryOverhead {
-		return nil, fmt.Errorf("transport: put batch count %d exceeds payload", count)
-	}
-	out := make([]putEntry, 0, count)
-	for i := 0; i < count; i++ {
-		if len(payload) < putBatchEntryOverhead {
-			return nil, fmt.Errorf("transport: truncated put batch entry %d", i)
-		}
-		idx := int(binary.BigEndian.Uint32(payload[0:4]))
-		n := int(binary.BigEndian.Uint32(payload[4:8]))
-		payload = payload[putBatchEntryOverhead:]
-		if idx < 0 || n < 0 || n > len(payload) {
-			return nil, fmt.Errorf("transport: oversized put batch entry %d (%d bytes)", i, n)
-		}
-		out = append(out, putEntry{index: idx, data: payload[:n]})
-		payload = payload[n:]
-	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("transport: %d trailing bytes after put batch entries", len(payload))
-	}
-	return out, nil
-}
-
-// batchResult is one decoded batch response entry. bytes aliases the
-// response frame body: block data for a successful GET entry, an error
+// batchResult is one decoded per-entry result of a DELETE response or
+// a PUTSTREAM ack. bytes aliases the response payload: an error
 // message for a failed entry, empty otherwise.
 type batchResult struct {
 	index  int
@@ -305,12 +189,12 @@ type batchResult struct {
 	bytes  []byte
 }
 
-// batchResultOverhead is the per-entry header size in a batch
-// response: [4B index][1B status][4B length].
+// batchResultOverhead is the per-entry result header size:
+// [4B index][1B status][4B length].
 const batchResultOverhead = 9
 
-// appendBatchResultHeader appends one batch response entry header to
-// dst; the entry's bytes travel as their own chunk.
+// appendBatchResultHeader appends one per-entry result header to dst;
+// the entry's message follows it.
 func appendBatchResultHeader(dst []byte, index int, status byte, n int) []byte {
 	var h [batchResultOverhead]byte
 	binary.BigEndian.PutUint32(h[0:4], uint32(index))
@@ -319,7 +203,7 @@ func appendBatchResultHeader(dst []byte, index int, status byte, n int) []byte {
 	return append(dst, h[:]...)
 }
 
-// decodeBatchResults parses a batch response payload.
+// decodeBatchResults parses a sequence of per-entry results.
 func decodeBatchResults(payload []byte) ([]batchResult, error) {
 	out := make([]batchResult, 0, len(payload)/batchResultOverhead)
 	for len(payload) > 0 {
@@ -337,19 +221,4 @@ func decodeBatchResults(payload []byte) ([]batchResult, error) {
 		payload = payload[n:]
 	}
 	return out, nil
-}
-
-// encodeCaps packs the CAPS response payload.
-func encodeCaps(mask uint32) []byte {
-	var out [4]byte
-	binary.BigEndian.PutUint32(out[:], mask)
-	return out[:]
-}
-
-// decodeCaps unpacks a CAPS response payload.
-func decodeCaps(payload []byte) (uint32, error) {
-	if len(payload) != 4 {
-		return 0, fmt.Errorf("transport: malformed caps payload (%d bytes)", len(payload))
-	}
-	return binary.BigEndian.Uint32(payload), nil
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/blockstore"
+	"repro/internal/obs"
 )
 
 // buildPutEntries encodes entries exactly as the client's PUTSTREAM
@@ -66,7 +67,7 @@ func TestQuickPutStreamEntryRoundTrip(t *testing.T) {
 			if err != nil || idx != i || !bytes.Equal(data, entries[i]) {
 				return false
 			}
-			if consumed != putBatchEntryOverhead+len(entries[i]) {
+			if consumed != putEntryOverhead+len(entries[i]) {
 				return false
 			}
 			totalConsumed += consumed
@@ -86,7 +87,7 @@ func TestQuickPutStreamEntryRoundTrip(t *testing.T) {
 // a hang.
 func TestPutStreamTruncatedEntryFailsClean(t *testing.T) {
 	wire := buildPutEntries([][]byte{bytes.Repeat([]byte{7}, 64)})
-	for _, cut := range []int{3, putBatchEntryOverhead + 10} {
+	for _, cut := range []int{3, putEntryOverhead + 10} {
 		ps := newMuxPutStream("seg", 1, defaultMuxWindow)
 		if err := ps.feed(wire[:cut], true); err != nil {
 			t.Fatalf("cut=%d: feed: %v", cut, err)
@@ -108,8 +109,8 @@ func TestPutStreamTruncatedEntryFailsClean(t *testing.T) {
 // any buffering happens.
 func TestPutStreamOversizedEntryRejected(t *testing.T) {
 	const window = 64 << 10
-	for _, n := range []int{MaxFrame + 1, window - putBatchEntryOverhead + 1} {
-		var hdr [putBatchEntryOverhead]byte
+	for _, n := range []int{MaxFrame + 1, window - putEntryOverhead + 1} {
+		var hdr [putEntryOverhead]byte
 		binary.BigEndian.PutUint32(hdr[0:4], 0)
 		binary.BigEndian.PutUint32(hdr[4:8], uint32(n))
 		ps := newMuxPutStream("seg", 1, window)
@@ -129,7 +130,7 @@ func TestPutStreamFeedOverflow(t *testing.T) {
 	const window = 64 << 10
 	ps := newMuxPutStream("seg", 2, window)
 	defer ps.release()
-	full := buildPutEntries([][]byte{bytes.Repeat([]byte{1}, window-putBatchEntryOverhead)})
+	full := buildPutEntries([][]byte{bytes.Repeat([]byte{1}, window-putEntryOverhead)})
 	if err := ps.feed(full, false); err != nil {
 		t.Fatalf("feed of one window failed: %v", err)
 	}
@@ -149,7 +150,7 @@ func TestPutStreamFailWakesBlockedConsumer(t *testing.T) {
 	defer ps.release()
 	// Half an entry: the consumer blocks waiting for the rest.
 	wire := buildPutEntries([][]byte{bytes.Repeat([]byte{3}, 32)})
-	if err := ps.feed(wire[:putBatchEntryOverhead+5], false); err != nil {
+	if err := ps.feed(wire[:putEntryOverhead+5], false); err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
@@ -265,7 +266,7 @@ func TestPutStreamDuplicateStreamIDResets(t *testing.T) {
 func TestPutStreamTruncatedWireResets(t *testing.T) {
 	peer := startRawPutStreamServer(t, blockstore.NewMemStore())
 	entry := buildPutEntries([][]byte{bytes.Repeat([]byte{9}, 128)})
-	peer.sendPutStreamReq(3, "seg", 1, entry[:putBatchEntryOverhead+30], true)
+	peer.sendPutStreamReq(3, "seg", 1, entry[:putEntryOverhead+30], true)
 	f := peer.awaitKind(3, muxKindReset)
 	if !strings.Contains(string(f.chunk), "truncated") {
 		t.Fatalf("reset reason %q does not mention truncation", f.chunk)
@@ -306,9 +307,9 @@ func TestPutStreamMidChunkReset(t *testing.T) {
 	peer := startRawPutStreamServer(t, mem)
 
 	wire := buildPutEntries([][]byte{[]byte("first-entry"), bytes.Repeat([]byte{5}, 64)})
-	firstLen := putBatchEntryOverhead + len("first-entry")
+	firstLen := putEntryOverhead + len("first-entry")
 	// Entry 0 complete, entry 1 cut mid-data, no FIN.
-	peer.sendPutStreamReq(6, "seg", 2, wire[:firstLen+putBatchEntryOverhead+10], false)
+	peer.sendPutStreamReq(6, "seg", 2, wire[:firstLen+putEntryOverhead+10], false)
 	// Entry 0's ack arrives while the stream is still open.
 	ack := peer.awaitKind(6, muxKindResp)
 	if len(ack.chunk) < batchResultOverhead || ack.chunk[4] != statusOK {
@@ -344,5 +345,44 @@ func TestPutStreamNegativeCreditKillsConnection(t *testing.T) {
 	peer.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := readFrame(peer.conn); err == nil {
 		t.Fatal("connection survived a negative credit grant")
+	}
+}
+
+// TestPutStreamUnaryRules: a run of one entry, and a run holding an
+// entry larger than the stream window (which PUTSTREAM cannot carry),
+// go out as unary PUTs — acked like a stream, counted as PUT ops.
+func TestPutStreamUnaryRules(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := NewServer(blockstore.NewMemStore(), ServerOptions{Obs: reg})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	const window = 16 << 10
+	client, err := Dial(ln.Addr().String(), ClientOptions{MuxWindow: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for name, sizes := range map[string][]int{"one-entry": {100}, "entry-over-window": {100, window}} {
+		puts := make([]blockstore.BatchPut, len(sizes))
+		for i, n := range sizes {
+			puts[i] = blockstore.BatchPut{Index: i, Data: bytes.Repeat([]byte{byte(i + 1)}, n)}
+		}
+		before := reg.Snapshot().Counters
+		errs := client.PutBatch(context.Background(), name, puts)
+		after := reg.Snapshot().Counters
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("%s: entry %d: %v", name, i, err)
+			}
+		}
+		puts0, streams := after["transport_server_put_total"]-before["transport_server_put_total"],
+			after["transport_server_put_stream_total"]-before["transport_server_put_stream_total"]
+		if puts0 != int64(len(sizes)) || streams != 0 {
+			t.Errorf("%s: %d PUT and %d PUTSTREAM ops, want %d and 0", name, puts0, streams, len(sizes))
+		}
 	}
 }

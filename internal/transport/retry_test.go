@@ -11,17 +11,19 @@ import (
 	"repro/internal/obs"
 )
 
-// scriptedServer speaks the block protocol by hand so tests can
-// misbehave at exact exchange boundaries. The script function is
-// called with the 1-based global exchange number and the live conn;
-// returning false closes the connection without a (full) response.
+// scriptedServer speaks the protocol by hand so tests can misbehave
+// at exact exchange boundaries. Each connection gets the SETTINGS
+// preface; after that the script is called once per complete request
+// (a REQ frame carrying FIN) with the 1-based global exchange number,
+// the live conn and the request's stream id. Returning false closes
+// the connection without a (full) response.
 type scriptedServer struct {
 	ln       net.Listener
 	exchange atomic.Int64
 	conns    atomic.Int64
 }
 
-func newScriptedServer(t *testing.T, script func(n int64, conn net.Conn) bool) *scriptedServer {
+func newScriptedServer(t *testing.T, script func(n int64, conn net.Conn, id uint32) bool) *scriptedServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -37,11 +39,23 @@ func newScriptedServer(t *testing.T, script func(n int64, conn net.Conn) bool) *
 			s.conns.Add(1)
 			go func(conn net.Conn) {
 				defer conn.Close()
+				mr := &muxReader{r: conn}
+				peer, err := readSettings(mr)
+				if err != nil {
+					return
+				}
+				if writeSettings(&lockedWriter{w: conn}, peer) != nil {
+					return
+				}
 				for {
-					if _, err := readFrame(conn); err != nil {
+					f, err := mr.next()
+					if err != nil {
 						return
 					}
-					if !script(s.exchange.Add(1), conn) {
+					if f.kind != muxKindReq || f.flags&muxFlagFIN == 0 {
+						continue
+					}
+					if !script(s.exchange.Add(1), conn, f.id) {
 						return
 					}
 				}
@@ -52,30 +66,30 @@ func newScriptedServer(t *testing.T, script func(n int64, conn net.Conn) bool) *
 	return s
 }
 
-// ok writes a well-formed OK response.
-func okResponse(conn net.Conn) bool {
-	return writeFrame(conn, []byte{statusOK}, []byte("x")) == nil
+// okResponse writes a well-formed one-frame OK response for stream id.
+func okResponse(conn net.Conn, id uint32) bool {
+	return writeMuxFrame(&lockedWriter{w: conn}, muxKindResp, id, []byte{muxFlagFIN, statusOK}, []byte("x")) == nil
 }
 
-// TestExchangeDropsConnOnShortRead is the regression test for the
-// pooled-conn bug: a response truncated mid-frame (short read) must
-// drop the connection instead of returning it to the pool — a pooled
-// half-dead conn poisons the next request on it.
+// TestExchangeDropsConnOnShortRead: a response truncated mid-frame
+// (short read) must kill the connection instead of leaving it in the
+// pool — a half-read conn would poison the next request on it — and
+// the next request must redial.
 func TestExchangeDropsConnOnShortRead(t *testing.T) {
-	srv := newScriptedServer(t, func(n int64, conn net.Conn) bool {
+	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		switch n {
 		case 1: // Dial's ping
-			return okResponse(conn)
+			return okResponse(conn, id)
 		case 2: // truncated frame: promise 10 bytes, deliver 3, close
 			conn.Write([]byte{0, 0, 0, 10})
 			conn.Write([]byte{1, 2, 3})
 			return false
 		default:
-			return okResponse(conn)
+			return okResponse(conn, id)
 		}
 	})
 	reg := obs.NewRegistry()
-	c, err := Dial(srv.ln.Addr().String(), ClientOptions{Obs: reg})
+	c, err := Dial(srv.ln.Addr().String(), ClientOptions{Obs: reg, MuxConns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +98,7 @@ func TestExchangeDropsConnOnShortRead(t *testing.T) {
 	if err := c.Ping(ctx); err == nil {
 		t.Fatal("short-read exchange should error")
 	}
-	// The poisoned conn must not be pooled: the next request dials
+	// The poisoned conn must not be reused: the next request dials
 	// fresh and succeeds.
 	if err := c.Ping(ctx); err != nil {
 		t.Fatalf("request after short read failed: %v", err)
@@ -94,23 +108,23 @@ func TestExchangeDropsConnOnShortRead(t *testing.T) {
 	}
 }
 
-// TestExchangeDropsConnOnEmptyResponse: a zero-length response frame
-// is a protocol violation; before the fix the conn was released to
-// the pool first and only then the error returned.
+// TestExchangeDropsConnOnEmptyResponse: a zero-length frame (no kind,
+// no stream id, no status) is a protocol violation even when a
+// well-formed response follows it; the conn must not be reused.
 func TestExchangeDropsConnOnEmptyResponse(t *testing.T) {
-	srv := newScriptedServer(t, func(n int64, conn net.Conn) bool {
+	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		switch n {
 		case 1:
-			return okResponse(conn)
-		case 2: // empty frame: length 0, no status byte
+			return okResponse(conn, id)
+		case 2: // empty frame: length 0, then a valid answer
 			conn.Write([]byte{0, 0, 0, 0})
-			return true
+			return okResponse(conn, id)
 		default:
-			return okResponse(conn)
+			return okResponse(conn, id)
 		}
 	})
 	reg := obs.NewRegistry()
-	c, err := Dial(srv.ln.Addr().String(), ClientOptions{Obs: reg})
+	c, err := Dial(srv.ln.Addr().String(), ClientOptions{Obs: reg, MuxConns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +145,14 @@ func TestExchangeDropsConnOnEmptyResponse(t *testing.T) {
 // with MaxRetries the GET succeeds anyway and the retry counters
 // record the recovery.
 func TestIdempotentRetryRecovers(t *testing.T) {
-	srv := newScriptedServer(t, func(n int64, conn net.Conn) bool {
+	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		switch n {
 		case 1: // Dial's ping
-			return okResponse(conn)
+			return okResponse(conn, id)
 		case 2, 3: // two dead exchanges: close without responding
 			return false
 		default:
-			return okResponse(conn)
+			return okResponse(conn, id)
 		}
 	})
 	reg := obs.NewRegistry()
@@ -167,9 +181,9 @@ func TestIdempotentRetryRecovers(t *testing.T) {
 // (the robust write path re-routes failures to healthier servers), so
 // a dead exchange must surface immediately.
 func TestPutNotRetried(t *testing.T) {
-	srv := newScriptedServer(t, func(n int64, conn net.Conn) bool {
+	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		if n == 1 {
-			return okResponse(conn)
+			return okResponse(conn, id)
 		}
 		return false // every later exchange dies
 	})
@@ -192,9 +206,9 @@ func TestPutNotRetried(t *testing.T) {
 // TestRetryGivesUpAfterBudget: a server that never recovers exhausts
 // the retry budget and reports the giveup.
 func TestRetryGivesUpAfterBudget(t *testing.T) {
-	srv := newScriptedServer(t, func(n int64, conn net.Conn) bool {
+	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		if n == 1 {
-			return okResponse(conn)
+			return okResponse(conn, id)
 		}
 		return false
 	})
@@ -223,9 +237,9 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 // TestRetryHonorsCancellation: caller cancellation must win over the
 // retry loop, during the exchange and during the backoff sleep.
 func TestRetryHonorsCancellation(t *testing.T) {
-	srv := newScriptedServer(t, func(n int64, conn net.Conn) bool {
+	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		if n == 1 {
-			return okResponse(conn)
+			return okResponse(conn, id)
 		}
 		return false
 	})

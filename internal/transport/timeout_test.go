@@ -11,35 +11,17 @@ import (
 	"repro/internal/blockstore"
 )
 
-// stalledServer answers the dial-time ping on each connection, then
-// swallows every subsequent request without replying — a hung
-// storage server, the failure mode RequestTimeout exists for.
+// stalledServer completes the preface and answers the dial-time
+// ping, then swallows every subsequent request without replying — a
+// hung storage server, the failure mode RequestTimeout exists for.
 func stalledServer(t *testing.T) net.Listener {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				if _, err := readFrame(conn); err != nil {
-					return
-				}
-				if err := writeFrame(conn, []byte{statusOK}); err != nil {
-					return
-				}
-				// Stall: keep reading, never respond.
-				io.Copy(io.Discard, conn)
-			}(conn)
+	return newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
+		if n == 1 {
+			return okResponse(conn, id)
 		}
-	}()
-	return ln
+		return true // stall: keep reading, never respond
+	}).ln
 }
 
 // Without RequestTimeout a hung server pins the request until the
@@ -70,8 +52,8 @@ func TestRequestTimeoutStalledServer(t *testing.T) {
 	}
 }
 
-// A stalled server must not stall Dial either: the verification ping
-// itself runs under the request deadline.
+// A stalled server must not stall Dial either: the connection preface
+// and the verification ping run under the request deadline.
 func TestRequestTimeoutBoundsDialPing(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -84,7 +66,7 @@ func TestRequestTimeoutBoundsDialPing(t *testing.T) {
 			if err != nil {
 				return
 			}
-			// Accept and stall without even answering the ping.
+			// Accept and stall without even answering the preface.
 			go func(conn net.Conn) {
 				defer conn.Close()
 				io.Copy(io.Discard, conn)
@@ -106,8 +88,8 @@ func TestRequestTimeoutBoundsDialPing(t *testing.T) {
 }
 
 // With a healthy server the deadline must be invisible: requests
-// succeed back-to-back and pooled connections are reused with a
-// cleared deadline.
+// succeed back-to-back, and the connection the preface ran under a
+// deadline is reused with that deadline cleared.
 func TestRequestTimeoutHealthyServer(t *testing.T) {
 	srv := NewServer(blockstore.NewMemStore(), ServerOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -129,8 +111,8 @@ func TestRequestTimeoutHealthyServer(t *testing.T) {
 		if err := c.Put(ctx, "seg", i, payload); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
-		// Sleep past the first iteration's absolute deadline: if release
-		// failed to clear it, the reused connection would now fail.
+		// Sleep past the preface's absolute deadline: had it not been
+		// cleared, the reused connection would now fail.
 		if i == 0 {
 			time.Sleep(300 * time.Millisecond)
 		}

@@ -79,6 +79,16 @@ func TestDeleteAndList(t *testing.T) {
 	if fmt.Sprint(idx) != "[2 9]" {
 		t.Fatalf("List after delete = %v", idx)
 	}
+	// One DELETE carries a list, answered per entry: absent blocks are
+	// not errors.
+	for i, err := range client.DeleteBatch(ctx, "s", []int{2, 5, 9}) {
+		if err != nil {
+			t.Fatalf("DeleteBatch[%d] = %v", i, err)
+		}
+	}
+	if idx, _ = client.List(ctx, "s"); len(idx) != 0 {
+		t.Fatalf("List after DeleteBatch = %v", idx)
+	}
 }
 
 func TestEmptyList(t *testing.T) {
@@ -199,7 +209,7 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 }
 
 func TestClientUsableAfterServerRoundTrips(t *testing.T) {
-	// Pool reuse: many sequential requests over few connections.
+	// Connection reuse: many sequential requests over few connections.
 	client, _ := startServer(t, ServerOptions{})
 	ctx := context.Background()
 	for i := 0; i < 100; i++ {
@@ -207,10 +217,10 @@ func TestClientUsableAfterServerRoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	client.mu.Lock()
-	nconns := client.nconns
-	client.mu.Unlock()
-	if nconns > 4 {
+	client.muxMu.Lock()
+	nconns := len(client.muxConns)
+	client.muxMu.Unlock()
+	if nconns > 2 {
 		t.Fatalf("sequential requests opened %d connections", nconns)
 	}
 }
@@ -247,13 +257,13 @@ func TestProtocolEncodingEdgeCases(t *testing.T) {
 
 func TestFrameSizeLimit(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
+	if err := writeMuxFrame(&lockedWriter{w: &buf}, muxKindReq, 1, []byte{0}, make([]byte, MaxFrame)); err == nil {
 		t.Fatal("oversized frame written")
 	}
 	// A fake header advertising a huge frame must be rejected.
 	buf.Reset()
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readFrame(&buf); err == nil {
+	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, muxKindReq, 0, 0, 0, 1})
+	if _, err := (&muxReader{r: &buf}).next(); err == nil {
 		t.Fatal("oversized inbound frame accepted")
 	}
 }

@@ -15,9 +15,10 @@
 #      internal/faultinject, the layers every concurrent path calls
 #      into)
 #   5. go test -shuffle=on ./...
-#   6. go test -race on the concurrency-heavy packages (the batch
-#      transport, batched blockstore, pipelined client paths, and the
-#      shared-graph ltcode layer included)
+#   6. go test -race on the concurrency-heavy packages (the
+#      multiplexed transport, the streaming blockstore shape, the
+#      pipelined client paths, and the shared-graph ltcode layer
+#      included)
 #   7. chaos suite under -race: real client/server pairs through
 #      fault-injection scenarios (stalls, resets, corruption,
 #      degraded writes, repair promotion) and the self-healing
